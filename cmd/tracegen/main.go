@@ -5,10 +5,8 @@
 // Usage:
 //
 //	tracegen -workload bzip2 [-trace 0] [-insts N] [-o file]      generate
-//	tracegen -workload bzip2 [-trace 0] [-insts N] -slots file    capture retired slot stream
 //	tracegen -workload bzip2 [-insts N] -export file [-format f]  export a portable uop trace
 //	tracegen -stat file                                           summarize a trace file
-//	tracegen -slotstat file                                       summarize a slot-stream file
 //	tracegen -list                                                list workloads
 //
 // -export writes the versioned external uop-trace format (see
@@ -34,15 +32,13 @@ func main() {
 	traceIdx := flag.Int("trace", 0, "hot-spot trace index")
 	insts := flag.Int("insts", 0, "x86 instruction budget (default: profile budget)")
 	out := flag.String("o", "", "write the captured trace to this file")
-	slots := flag.String("slots", "", "write the retired slot stream (replay capture) to this file")
 	export := flag.String("export", "", "write the portable external uop trace to this file")
 	format := flag.String("format", "binary", "external trace encoding: binary or ndjson")
 	stat := flag.String("stat", "", "summarize an existing trace file")
-	slotStat := flag.String("slotstat", "", "summarize an existing slot-stream file")
 	list := flag.Bool("list", false, "list the workload set (Table 1)")
 	flag.Parse()
 
-	if err := run(*name, *traceIdx, *insts, *out, *slots, *export, *format, *stat, *slotStat, *list); err != nil {
+	if err := run(*name, *traceIdx, *insts, *out, *export, *format, *stat, *list); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
@@ -59,11 +55,7 @@ func exportTrace(name string, traceIdx, insts int, path, format string) error {
 	if insts == 0 {
 		insts = p.XInsts
 	}
-	ss, err := sim.CaptureSlotStream(p, traceIdx, insts+sim.ReplaySlack)
-	if err != nil {
-		return err
-	}
-	xt, err := xtrace.FromSlotStream(ss, insts)
+	xt, err := sim.CaptureXTrace(p, traceIdx, insts)
 	if err != nil {
 		return err
 	}
@@ -88,7 +80,7 @@ func exportTrace(name string, traceIdx, insts int, path, format string) error {
 	return nil
 }
 
-func run(name string, traceIdx, insts int, out, slots, export, format, stat, slotStat string, list bool) error {
+func run(name string, traceIdx, insts int, out, export, format, stat string, list bool) error {
 	switch {
 	case list:
 		t := stats.NewTable("Name", "Class", "Traces", "Insts/trace")
@@ -111,46 +103,8 @@ func run(name string, traceIdx, insts int, out, slots, export, format, stat, slo
 		printStats(tr)
 		return nil
 
-	case slotStat != "":
-		f, err := os.Open(slotStat)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		ss, err := trace.ReadSlots(f)
-		if err != nil {
-			return err
-		}
-		return printSlotStats(ss)
-
 	case name != "" && export != "":
 		return exportTrace(name, traceIdx, insts, export, format)
-
-	case name != "" && slots != "":
-		p, err := workload.ByName(name)
-		if err != nil {
-			return err
-		}
-		if insts == 0 {
-			insts = p.XInsts
-		}
-		ss, err := sim.CaptureSlotStream(p, traceIdx, insts)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(slots)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := ss.Write(f); err != nil {
-			return err
-		}
-		if err := printSlotStats(ss); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", slots)
-		return nil
 
 	case name != "":
 		p, err := workload.ByName(name)
@@ -183,37 +137,6 @@ func run(name string, traceIdx, insts int, out, slots, export, format, stat, slo
 		return nil
 	}
 	return fmt.Errorf("nothing to do; see -h")
-}
-
-// printSlotStats summarizes a retired slot stream: length, code image,
-// PC footprint, and the micro-op expansion of the retired mix.
-func printSlotStats(ss *trace.SlotStream) error {
-	slots, err := sim.SlotsFromRecorded(ss)
-	if err != nil {
-		return err
-	}
-	pcs := make(map[uint32]bool)
-	var uops, memops, transfers int
-	for i := range slots {
-		s := &slots[i]
-		pcs[s.PC] = true
-		uops += len(s.UOps)
-		memops += len(s.MemAddrs)
-		if s.NextPC != s.PC+uint32(s.Inst.Len) {
-			transfers++
-		}
-	}
-	n := len(slots)
-	fmt.Printf("slot stream %s: code %d bytes at %#x\n", ss.Name, len(ss.Code), ss.CodeBase)
-	t := stats.NewTable("Metric", "Value", "Per kinst")
-	per := func(v int) string { return fmt.Sprintf("%.1f", 1000*float64(v)/float64(n)) }
-	t.Row("retired slots (x86 insts)", n, "")
-	t.Row("unique PCs", len(pcs), "")
-	t.Row("micro-ops", uops, per(uops))
-	t.Row("memory accesses", memops, per(memops))
-	t.Row("taken transfers", transfers, per(transfers))
-	t.Write(os.Stdout)
-	return nil
 }
 
 func printStats(tr *trace.Trace) {

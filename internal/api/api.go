@@ -276,6 +276,9 @@ func (r RunRequest) Validate() error {
 			return fmt.Errorf("xtrace runs only support the cell, reuse and diff experiments, not %q", c.Experiment)
 		}
 	}
+	if c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
+		return fmt.Errorf("warmup_frac %g outside [0,1)", c.WarmupFrac)
+	}
 	if err := validateConfig(c.Config); err != nil {
 		return err
 	}
@@ -317,6 +320,27 @@ func validateConfig(c *ConfigOverrides) error {
 		default:
 			return fmt.Errorf("unknown optimization %q in disable_opts", d)
 		}
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"width", c.Width}, {"window_size", c.WindowSize}, {"frame_cache_uops", c.FrameCacheUOps},
+		{"max_frame_uops", c.MaxFrameUOps}, {"opt_cycles_per_uop", c.OptCyclesPerUOp}, {"opt_pipe_depth", c.OptPipeDepth},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d is negative (0 keeps the default)", f.name, f.v)
+		}
+	}
+	// The window must hold a full fetch group, or the engine's window
+	// stall can never drain.
+	cfg := pipeline.DefaultConfig(pipeline.ModeRePLayOpt)
+	c.Mod()(&cfg)
+	if cfg.WindowSize < cfg.Width {
+		if c.WindowSize > 0 {
+			return fmt.Errorf("window_size %d is smaller than width %d", cfg.WindowSize, cfg.Width)
+		}
+		return fmt.Errorf("width %d exceeds window_size %d", cfg.Width, cfg.WindowSize)
 	}
 	return nil
 }

@@ -123,11 +123,11 @@ func engineSpec() Spec {
 			if err != nil {
 				return nil, err
 			}
-			ss, err := sim.CaptureSlotStream(p, 0, s.Insts)
+			xt, err := sim.CaptureXTrace(p, 0, s.Insts)
 			if err != nil {
 				return nil, err
 			}
-			slots, err = sim.SlotsFromRecorded(ss)
+			slots, err = xt.Slots()
 			return func() { slots = nil }, err
 		},
 		Run: func(ctx context.Context, s Settings) (float64, error) {

@@ -24,9 +24,10 @@ type CPU struct {
 	// StepCount counts executed instructions.
 	StepCount uint64
 
-	// decoded caches decoded instructions by PC. The model does not
-	// support self-modifying code, so the cache never invalidates.
-	decoded map[uint32]x86.Inst
+	// Decoder, when set, supplies decoded instructions by PC (a
+	// program's static instruction table); without one the CPU decodes
+	// from memory at every step.
+	Decoder Decoder
 
 	// eff is the per-step effect accumulator, owned by the CPU so the
 	// hot stepping paths reuse one buffer instead of allocating per
@@ -34,9 +35,15 @@ type CPU struct {
 	eff stepEffects
 }
 
+// Decoder resolves the instruction at a PC. The model does not support
+// self-modifying code, so a Decoder may cache without invalidating.
+type Decoder interface {
+	DecodeAt(pc uint32) (*x86.Inst, error)
+}
+
 // New returns a CPU with zeroed registers over the given memory.
 func New(mem *Memory) *CPU {
-	return &CPU{Mem: mem, decoded: make(map[uint32]x86.Inst)}
+	return &CPU{Mem: mem}
 }
 
 // Reg returns the value of a GPR.
@@ -151,30 +158,33 @@ func (c *CPU) flagsLogic(r uint32) uint32 {
 	return r
 }
 
-// stepExec decodes and executes one instruction at PC, accumulating its
-// memory effects in c.eff. On success it advances PC and StepCount and
-// returns the decoded instruction and the dynamic successor; on error
-// the architectural position is unchanged.
-func (c *CPU) stepExec() (x86.Inst, uint32, error) {
-	in, ok := c.decoded[c.PC]
-	if !ok {
-		code := c.Mem.ReadBytes(c.PC, 15)
-		var err error
-		in, err = x86.Decode(code)
-		if err != nil {
-			return in, 0, fmt.Errorf("cpu: at %#x: %w", c.PC, err)
-		}
-		c.decoded[c.PC] = in
+// decode returns the instruction at PC.
+func (c *CPU) decode() (in *x86.Inst, err error) {
+	if c.Decoder != nil {
+		in, err = c.Decoder.DecodeAt(c.PC)
+	} else {
+		in = new(x86.Inst)
+		*in, err = x86.Decode(c.Mem.ReadBytes(c.PC, 15))
 	}
+	if err != nil {
+		return nil, fmt.Errorf("cpu: at %#x: %w", c.PC, err)
+	}
+	return in, nil
+}
 
+// stepExec executes the decoded instruction in at PC, accumulating its
+// memory effects in c.eff. On success it advances PC and StepCount and
+// returns the dynamic successor; on error the architectural position is
+// unchanged.
+func (c *CPU) stepExec(in *x86.Inst) (uint32, error) {
 	c.eff.memOps = c.eff.memOps[:0]
 	nextPC := c.PC + uint32(in.Len)
 	if err := c.exec(in, &c.eff, &nextPC); err != nil {
-		return in, 0, fmt.Errorf("cpu: at %#x (%s): %w", c.PC, in, err)
+		return 0, fmt.Errorf("cpu: at %#x (%s): %w", c.PC, *in, err)
 	}
 	c.PC = nextPC
 	c.StepCount++
-	return in, nextPC, nil
+	return nextPC, nil
 }
 
 // Step decodes and executes one instruction at PC, returning its trace
@@ -186,7 +196,11 @@ func (c *CPU) Step() (trace.Record, error) {
 	pc := c.PC
 	before := c.Regs
 	flagsBefore := c.Flags
-	in, nextPC, err := c.stepExec()
+	in, err := c.decode()
+	if err != nil {
+		return trace.Record{}, err
+	}
+	nextPC, err := c.stepExec(in)
 	if err != nil {
 		return trace.Record{}, err
 	}
@@ -208,15 +222,16 @@ func (c *CPU) Step() (trace.Record, error) {
 	return rec, nil
 }
 
-// StepAddrs executes one instruction like Step but reports only the
-// memory addresses it touched, appended to addrs, plus the dynamic
-// successor PC. It is the allocation-free fast path for the timing
-// model's correct-path stream, which needs no register/value trace.
-func (c *CPU) StepAddrs(addrs []uint32) ([]uint32, uint32, error) {
+// StepInst executes in, the already-decoded instruction at PC, like
+// Step but reports only the memory addresses it touched, appended to
+// addrs, plus the dynamic successor PC. It is the allocation-free fast
+// path for the timing model's correct-path stream, which decodes through
+// its static table and needs no register/value trace.
+func (c *CPU) StepInst(in *x86.Inst, addrs []uint32) ([]uint32, uint32, error) {
 	if c.Halted {
 		return addrs, 0, ErrHalted
 	}
-	_, nextPC, err := c.stepExec()
+	nextPC, err := c.stepExec(in)
 	if err != nil {
 		return addrs, 0, err
 	}
@@ -239,7 +254,7 @@ func (c *CPU) pop(e *stepEffects) uint32 {
 	return v
 }
 
-func (c *CPU) exec(in x86.Inst, e *stepEffects, nextPC *uint32) error {
+func (c *CPU) exec(in *x86.Inst, e *stepEffects, nextPC *uint32) error {
 	switch in.Op {
 	case x86.OpNOP:
 	case x86.OpHLT:

@@ -83,7 +83,7 @@ func (d *Detector) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
 // ReuseSlot feeds one retired instruction: the embedded loop detector
 // maintains its loop stack, and the per-PC cell counts retired work so
 // loop rollups can report IPC and frame coverage.
-func (d *Detector) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (d *Detector) ReuseSlot(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
 	d.Detector.ReuseSlot(s, fromFrame, uopsExecuted)
 	c := d.cell(s.PC)
 	c.x86++

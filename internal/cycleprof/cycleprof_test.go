@@ -10,8 +10,8 @@ import (
 
 // slot fabricates a retired-instruction record: a 2-byte JCC at pc
 // jumping to next (taken if next != pc+2).
-func slot(pc, next uint32) pipeline.Slot {
-	return pipeline.Slot{PC: pc, NextPC: next, Inst: x86.Inst{Op: x86.OpJCC, Len: 2}}
+func slot(pc, next uint32) *pipeline.Slot {
+	return &pipeline.Slot{StaticInst: &pipeline.StaticInst{PC: pc, Inst: x86.Inst{Op: x86.OpJCC, Len: 2}}, NextPC: next}
 }
 
 func TestCollectorFoldAndTotals(t *testing.T) {

@@ -146,7 +146,7 @@ func (d *Detector) row() *Row {
 // this very instruction), then the slot's work is attributed to the
 // loop active after those effects — a back edge's closing branch counts
 // toward the loop it closes.
-func (d *Detector) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (d *Detector) ReuseSlot(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
 	d.Detector.ReuseSlot(s, fromFrame, uopsExecuted)
 	r := d.row()
 	r.X86++

@@ -17,7 +17,7 @@ func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Slot {
 	for i, o := range uops {
 		us[i] = uop.UOp{Op: o}
 	}
-	return pipeline.Slot{PC: pc, Inst: x86.Inst{Op: op, Len: 4}, NextPC: next, UOps: us}
+	return pipeline.Slot{StaticInst: &pipeline.StaticInst{PC: pc, Inst: x86.Inst{Op: op, Len: 4}, UOps: us}, NextPC: next}
 }
 
 // loopStream is 2 straight instructions, then trips executions of a
@@ -54,7 +54,7 @@ func TestDetectorPartition(t *testing.T) {
 	slots := loopStream(5)
 	var inLoop bool
 	for i := range slots {
-		p.ReuseSlot(slots[i], false, len(slots[i].UOps))
+		p.ReuseSlot(&slots[i], false, len(slots[i].UOps))
 		// One cycle charged per instruction; one pass invocation fired
 		// mid-loop and one in the straight epilogue.
 		p.CycleCharge(slots[i].PC, pipeline.BinFrame, 1)

@@ -9,17 +9,21 @@ import (
 	"repro/internal/predict"
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
+	"repro/internal/translate"
 	"repro/internal/uop"
 	"repro/internal/x86"
 )
 
-// Slot is one retired x86 instruction offered to the timing model: its
-// decoded form, micro-op flow, dynamic successor and memory addresses
-// (in flow order).
+// StaticInst is the shared static part of a slot: PC, decoded
+// instruction and micro-op flow, one per PC (see translate.StaticTable).
+type StaticInst = translate.StaticInst
+
+// Slot is one retired x86 instruction offered to the timing model: a
+// pointer to its shared static decode (PC, instruction, micro-op flow)
+// plus the dynamic part, its successor and memory addresses (in flow
+// order). Slots are small values; the static part is never copied.
 type Slot struct {
-	PC       uint32
-	Inst     x86.Inst
-	UOps     []uop.UOp
+	*StaticInst
 	NextPC   uint32
 	MemAddrs []uint32
 }
@@ -110,6 +114,9 @@ type Engine struct {
 	// Reuse attribution probe (see SetReuse); nil unless attached, so
 	// the disabled cost on the retirement path is one nil check.
 	reuse ReuseProbe
+	// probed is the engine-owned copy the decoded paths hand the probe
+	// (see probeSlot).
+	probed Slot
 	// reusePass is the cached ReusePassProbe view of reuse (nil when the
 	// probe does not implement the extension), resolved once at SetReuse
 	// so the per-frame optimizer call site never asserts.
@@ -532,6 +539,14 @@ func (e *Engine) retireSlot(s *Slot, fromFrame bool, uopsExecuted, loadsExecuted
 	}
 }
 
+// probeSlot hands a decoded-path slot to the reuse probe through an
+// engine-owned copy: passing &s itself would move every fetch loop's
+// slot to the heap, probe attached or not.
+func (e *Engine) probeSlot(s Slot, fromFrame bool, uopsExecuted int) {
+	e.probed = s
+	e.reuse.ReuseSlot(&e.probed, fromFrame, uopsExecuted)
+}
+
 // feedConstructor offers a retired instruction to the frame constructor.
 func (e *Engine) feedConstructor(s *Slot) {
 	if e.cons != nil {
@@ -691,10 +706,8 @@ func (e *Engine) fetchICache() {
 			}
 		}
 		e.retireSlot(&s, false, len(s.UOps), loads)
-		// Hook kept out of retireSlot so it stays inlinable at the
-		// retirement sites; the detached cost is this one nil check.
 		if e.reuse != nil {
-			e.reuse.ReuseSlot(s, false, len(s.UOps))
+			e.probeSlot(s, false, len(s.UOps))
 		}
 		e.feedConstructor(&s)
 

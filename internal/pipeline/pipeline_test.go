@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/translate"
 	"repro/internal/x86"
@@ -38,7 +39,7 @@ func slotFor(t *testing.T, in x86.Inst, pc, next uint32, addrs ...uint32) Slot {
 	if next == 0 {
 		next = pc + uint32(in.Len)
 	}
-	return Slot{PC: pc, Inst: in, UOps: us, NextPC: next, MemAddrs: addrs}
+	return Slot{StaticInst: &StaticInst{PC: pc, Inst: in, UOps: us}, NextPC: next, MemAddrs: addrs}
 }
 
 // loopStream builds a simple counted loop: eight ADDs, a CMP, and a
@@ -265,5 +266,13 @@ func TestStatsReset(t *testing.T) {
 	}
 	if binned != s.Cycles {
 		t.Errorf("post-reset bins %d != cycles %d", binned, s.Cycles)
+	}
+}
+
+// TestSlotLayout pins the slot hand-off size: a pointer to the shared
+// static decode plus the dynamic successor and addresses.
+func TestSlotLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Slot{}); n > 40 {
+		t.Fatalf("Slot is %d bytes, want <= 40", n)
 	}
 }

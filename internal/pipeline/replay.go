@@ -365,7 +365,7 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 		e.stats.LoadsBaseline += uint64(loads)
 		e.stats.CoveredBaseline += uint64(base)
 		if e.reuse != nil {
-			e.reuse.ReuseSlot(*s, true, 0)
+			e.reuse.ReuseSlot(s, true, 0)
 		}
 		e.trainPredictors(s)
 	}

@@ -124,7 +124,7 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 		}
 		e.retireSlot(&s, true, len(s.UOps), loads)
 		if e.reuse != nil {
-			e.reuse.ReuseSlot(s, true, len(s.UOps))
+			e.probeSlot(s, true, len(s.UOps))
 		}
 		e.feedConstructor(&s)
 

@@ -42,12 +42,13 @@ func (e *Engine) SetTelemetry(tel *telemetry.Collector, run int) {
 // exactly once, so probe totals sum to the corresponding Stats
 // counters over the same window.
 type ReuseProbe interface {
-	// ReuseSlot sees every retired x86 instruction in retirement order.
+	// ReuseSlot sees every retired x86 instruction in retirement order;
+	// s is valid only for the call.
 	// fromFrame marks slots covered by a committed frame or trace-cache
 	// line; uopsExecuted is the post-optimization micro-op count retired
 	// with the slot (0 on the frame path, whose optimized body arrives
 	// in bulk via ReuseFrameRetired).
-	ReuseSlot(s Slot, fromFrame bool, uopsExecuted int)
+	ReuseSlot(s *Slot, fromFrame bool, uopsExecuted int)
 	// ReuseFrameBuilt fires once per frame the constructor deposits
 	// (sums to Stats.FramesConstructed).
 	ReuseFrameBuilt()

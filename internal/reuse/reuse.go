@@ -212,7 +212,7 @@ func (d *Detector) Active() (header uint32, ok bool) {
 // is the post-optimization micro-op count retired with the slot
 // (frame-path slots pass 0 — their optimized body arrives in bulk via
 // ReuseFrameRetired).
-func (d *Detector) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (d *Detector) ReuseSlot(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
 	pc := s.PC
 	// Leave loops whose body no longer contains the PC at the call depth
 	// they were entered at.

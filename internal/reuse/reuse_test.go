@@ -15,14 +15,14 @@ func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Slot {
 	for i, o := range uops {
 		us[i] = uop.UOp{Op: o}
 	}
-	return pipeline.Slot{PC: pc, Inst: x86.Inst{Op: op, Len: 4}, NextPC: next, UOps: us}
+	return pipeline.Slot{StaticInst: &pipeline.StaticInst{PC: pc, Inst: x86.Inst{Op: op, Len: 4}, UOps: us}, NextPC: next}
 }
 
 // feed retires the slots through a fresh detector.
 func feed(slots []pipeline.Slot) *Detector {
 	d := NewDetector()
 	for i := range slots {
-		d.ReuseSlot(slots[i], false, len(slots[i].UOps))
+		d.ReuseSlot(&slots[i], false, len(slots[i].UOps))
 	}
 	return d
 }
@@ -276,7 +276,7 @@ func TestDetectorFrameEvents(t *testing.T) {
 	d.ReuseFrameBuilt() // straight-line: nothing retired yet
 	slots := singleLoop(4)
 	for i := range slots {
-		d.ReuseSlot(slots[i], false, len(slots[i].UOps))
+		d.ReuseSlot(&slots[i], false, len(slots[i].UOps))
 		if slots[i].PC == 0x14 { // inside the loop body
 			d.ReuseFrameHit()
 			d.ReuseOptRemoved(2)
@@ -306,7 +306,7 @@ func TestCollectorFold(t *testing.T) {
 		p := c.Attach(trace)
 		slots := singleLoop(4)
 		for i := range slots {
-			p.ReuseSlot(slots[i], false, len(slots[i].UOps))
+			p.ReuseSlot(&slots[i], false, len(slots[i].UOps))
 		}
 		p.Close()
 		p.Close() // second Close must not double-count

@@ -408,6 +408,51 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestWindowSizeOneRejected is the regression test for a one-field
+// config override that used to panic in Engine.windowStall and kill
+// replayd: a window smaller than the fetch width is a 400 naming the
+// field, and the server keeps serving.
+func TestWindowSizeOneRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, body := range []string{
+		`{"experiment":"cell","workloads":["gzip"],"insts":2000,"config":{"window_size":1}}`,
+		`{"experiment":"cell","workloads":["gzip"],"insts":2000,"config":{"width":600}}`,
+		`{"experiment":"cell","workloads":["gzip"],"insts":2000,"warmup_frac":1}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env jobEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+		field := "window_size"
+		switch {
+		case strings.Contains(body, "width"):
+			field = "width"
+		case strings.Contains(body, "warmup_frac"):
+			field = "warmup_frac"
+		}
+		if !strings.Contains(env.Error, field) {
+			t.Errorf("%s: error %q does not name %s", body, env.Error, field)
+		}
+	}
+	env, status := postRun(t, ts.URL+"/v1/run", api.RunRequest{Experiment: "cell", Workloads: []string{"gzip"}, Insts: 2_000})
+	if status != http.StatusOK || env.State != api.StateDone {
+		t.Fatalf("server unhealthy after rejected configs: status %d state %q", status, env.State)
+	}
+}
+
 // TestShutdownDrains: draining rejects new work, lets running jobs
 // finish, and flips /healthz to 503.
 func TestShutdownDrains(t *testing.T) {

@@ -28,11 +28,7 @@ func exportGzip(t *testing.T, budget int) ([]byte, *xtrace.Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := sim.CaptureSlotStream(p, 0, budget+sim.ReplaySlack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xt, err := xtrace.FromSlotStream(ss, budget)
+	xt, err := sim.CaptureXTrace(p, 0, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

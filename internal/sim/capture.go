@@ -6,11 +6,9 @@ import (
 	"sync"
 
 	"repro/internal/pipeline"
-	"repro/internal/trace"
 	"repro/internal/translate"
-	"repro/internal/uop"
 	"repro/internal/workload"
-	"repro/internal/x86"
+	"repro/internal/xtrace"
 )
 
 // The capture layer: the functional IA-32 interpreter runs once per
@@ -40,17 +38,18 @@ func (s *cpuStream) Err() error { return s.err }
 // recordedStream is one captured retired-slot stream, stored columnar:
 // per retired instruction only the PC, the successor PC and the memory
 // addresses vary, so those are kept in flat arrays (~12 bytes per slot)
-// while the decode and translation are shared per-PC maps. A full-budget
-// capture is a few MB instead of the tens of MB a []pipeline.Slot costs,
-// which is what lets maxLiveCaptures cover a whole sweep.
+// while the decode and translation live in the program's static table,
+// taken over from the interpreter. A full-budget capture is a few MB
+// instead of the tens of MB a []pipeline.Slot costs, which is what lets
+// the capture cache cover a whole sweep.
 type recordedStream struct {
 	pcs      []uint32
 	nextPCs  []uint32
 	memOff   []uint32 // prefix offsets into memAddrs; len = len(pcs)+1
 	memAddrs []uint32
-	decoded  map[uint32]decodedInst
-	err      error // interpreter error hit at the end of the slots, if any
-	atEnd    bool  // the program genuinely ended (vs the capture bound)
+	static   *translate.StaticTable // read-only once the capture is done
+	err      error                  // interpreter error hit at the end of the slots, if any
+	atEnd    bool                   // the program genuinely ended (vs the capture bound)
 }
 
 func (rec *recordedStream) len() int { return len(rec.pcs) }
@@ -63,9 +62,7 @@ func (rec *recordedStream) slot(i int) pipeline.Slot {
 	if lo, hi := rec.memOff[i], rec.memOff[i+1]; hi > lo {
 		addrs = rec.memAddrs[lo:hi:hi]
 	}
-	d := rec.decoded[pc]
-	return pipeline.Slot{PC: pc, Inst: d.in, UOps: d.uops,
-		NextPC: rec.nextPCs[i], MemAddrs: addrs}
+	return pipeline.Slot{StaticInst: rec.static.Cached(pc), NextPC: rec.nextPCs[i], MemAddrs: addrs}
 }
 
 // errCaptureExhausted reports a replay that consumed the whole recording
@@ -107,15 +104,15 @@ func (r *replayStream) Err() error {
 // captureRecorded drains the interpreter into a recording of at most max
 // slots. An interpreter error is stored positionally: a replay only
 // surfaces it if the engine actually consumes that far, exactly like a
-// live run. The decode/translation map is taken over from the
-// interpreter stream, so every replayed slot shares it.
+// live run. The static table is taken over from the interpreter stream,
+// so every replayed slot shares its entries.
 func captureRecorded(prog *workload.Program, max int) *recordedStream {
 	src := newCPUStream(prog)
 	rec := &recordedStream{
 		pcs:     make([]uint32, 0, max),
 		nextPCs: make([]uint32, 0, max),
 		memOff:  make([]uint32, 1, max+1),
-		decoded: src.decoded,
+		static:  src.static,
 	}
 	for len(rec.pcs) < max {
 		s, ok := src.Next()
@@ -162,14 +159,11 @@ type captureEntry struct {
 }
 
 // sizeBytes estimates a recording's heap residency: the columnar slot
-// arrays exactly, the shared decode/translation maps by per-entry
-// constants (an x86.Inst is ~48 bytes, a uop.UOp ~24).
+// arrays exactly, plus the static table it holds (charged once, however
+// many slots point into it).
 func (rec *recordedStream) sizeBytes() int64 {
 	b := int64(4 * (len(rec.pcs) + len(rec.nextPCs) + len(rec.memOff) + len(rec.memAddrs)))
-	for _, d := range rec.decoded {
-		b += 48 + int64(len(d.uops))*24
-	}
-	return b
+	return b + rec.static.SizeBytes()
 }
 
 // captureCache shares recordings across the concurrent (workload, mode)
@@ -290,79 +284,41 @@ func CaptureOccupancy() (entries int, bytes int64, entryLimit int, byteLimit int
 	return len(captures.entries), captures.bytes, captures.maxEntries, captures.maxBytes
 }
 
-// CaptureSlotStream interprets one hot-spot trace of the profile and
-// returns the retired slot stream in the on-disk format (cmd/tracegen
-// dumps these; SlotsFromRecorded reloads them).
-func CaptureSlotStream(p workload.Profile, traceIdx, maxInsts int) (*trace.SlotStream, error) {
+// CaptureXTrace interprets one hot-spot trace of the profile and returns
+// it as an external trace with the code image embedded: insts is the
+// measured budget, and ReplaySlack more instructions ride along so a
+// replay never starves. This is the repository's one serialized
+// slot-stream format (tracegen -export writes it).
+func CaptureXTrace(p workload.Profile, traceIdx, insts int) (*xtrace.Trace, error) {
 	prog, err := workload.Generate(p, traceIdx)
 	if err != nil {
 		return nil, err
 	}
-	rec := captureRecorded(prog, maxInsts)
+	rec := captureRecorded(prog, insts+ReplaySlack)
 	if rec.err != nil {
 		return nil, rec.err
 	}
-	ss := &trace.SlotStream{Name: prog.Name, CodeBase: prog.Base, Code: prog.Code,
-		Slots: make([]trace.SlotRec, 0, rec.len())}
-	for i := 0; i < rec.len(); i++ {
-		s := rec.slot(i)
-		ss.Slots = append(ss.Slots, trace.SlotRec{PC: s.PC, NextPC: s.NextPC, MemAddrs: s.MemAddrs})
-	}
-	return ss, nil
+	return xtrace.FromStream(prog.Name, prog.Base, prog.Code, &replayStream{rec: rec}, insts), nil
 }
 
-// SlotsFromRecorded reconstructs engine-ready slots from an on-disk
-// stream, re-decoding and re-translating each PC from the code image
-// (decode is deterministic, so the result matches the original capture).
-func SlotsFromRecorded(ss *trace.SlotStream) ([]pipeline.Slot, error) {
-	insts := make(map[uint32]x86.Inst)
-	uops := make(map[uint32][]uop.UOp)
-	slots := make([]pipeline.Slot, 0, len(ss.Slots))
-	for i := range ss.Slots {
-		r := &ss.Slots[i]
-		in, ok := insts[r.PC]
-		var us []uop.UOp
-		if ok {
-			us = uops[r.PC]
-		} else {
-			b := ss.InstBytes(r.PC)
-			if b == nil {
-				return nil, fmt.Errorf("sim: slot %d PC %#x outside the code image", i, r.PC)
-			}
-			var err error
-			in, err = x86.Decode(b)
-			if err != nil {
-				return nil, fmt.Errorf("sim: slot %d PC %#x: %w", i, r.PC, err)
-			}
-			us, err = translate.UOps(in, r.PC)
-			if err != nil {
-				return nil, fmt.Errorf("sim: slot %d PC %#x: %w", i, r.PC, err)
-			}
-			insts[r.PC] = in
-			uops[r.PC] = us
-		}
-		slots = append(slots, pipeline.Slot{PC: r.PC, Inst: in, UOps: us, NextPC: r.NextPC, MemAddrs: r.MemAddrs})
-	}
-	return slots, nil
+// sliceStream serves an already materialized slot slice (an external
+// trace's) as a correct-path stream.
+type sliceStream struct {
+	slots []pipeline.Slot
+	pos   int
 }
 
-// NewSlotStream wraps a reconstructed slot slice as a correct-path
-// stream for pipeline.New (the replay path for on-disk captures).
-func NewSlotStream(slots []pipeline.Slot) pipeline.Stream {
-	rec := &recordedStream{
-		pcs:     make([]uint32, 0, len(slots)),
-		nextPCs: make([]uint32, 0, len(slots)),
-		memOff:  make([]uint32, 1, len(slots)+1),
-		decoded: make(map[uint32]decodedInst, 256),
-		atEnd:   true,
+// NewSlotStream wraps a slot slice as a correct-path stream for
+// pipeline.New.
+func NewSlotStream(slots []pipeline.Slot) pipeline.Stream { return &sliceStream{slots: slots} }
+
+func (s *sliceStream) Next() (pipeline.Slot, bool) {
+	if s.pos >= len(s.slots) {
+		return pipeline.Slot{}, false
 	}
-	for i := range slots {
-		s := &slots[i]
-		rec.pcs = append(rec.pcs, s.PC)
-		rec.nextPCs = append(rec.nextPCs, s.NextPC)
-		rec.memAddrs = append(rec.memAddrs, s.MemAddrs...)
-		rec.memOff = append(rec.memOff, uint32(len(rec.memAddrs)))
-		rec.decoded[s.PC] = decodedInst{in: s.Inst, uops: s.UOps}
-	}
-	return &replayStream{rec: rec}
+	s.pos++
+	return s.slots[s.pos-1], true
 }
+
+// Err is always nil: a slice has no interpreter behind it to fail.
+func (s *sliceStream) Err() error { return nil }

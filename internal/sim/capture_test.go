@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
-	"repro/internal/trace"
 	"repro/internal/workload"
+	"repro/internal/xtrace"
 )
 
 // TestCachedRunsBitIdentical: with capture+memo enabled, every mode's
@@ -118,32 +118,32 @@ func TestCaptureCacheBounded(t *testing.T) {
 	}
 }
 
-// TestSlotStreamDumpReload: the on-disk slot-stream capture reloads into
-// the slots the interpreter originally produced, and a timing run over
-// the reloaded stream matches a live run exactly.
+// TestSlotStreamDumpReload: a capture dumped in the external trace
+// format and reloaded yields the slots the interpreter originally
+// produced, and a timing run over the reloaded stream matches a live run
+// exactly.
 func TestSlotStreamDumpReload(t *testing.T) {
 	p, err := workload.ByName("bzip2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const insts = 8_000
-	ss, err := CaptureSlotStream(p, 0, insts)
+	xt, err := CaptureXTrace(p, 0, insts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ss.Slots) != insts {
-		t.Fatalf("captured %d slots, want %d", len(ss.Slots), insts)
+	if xt.Header.Insts != insts {
+		t.Fatalf("header insts = %d, want %d", xt.Header.Insts, insts)
 	}
-
 	var buf bytes.Buffer
-	if err := ss.Write(&buf); err != nil {
+	if err := xtrace.WriteBinary(&buf, xt); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := trace.ReadSlots(&buf)
+	loaded, err := xtrace.Decode(&buf, xtrace.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, err := SlotsFromRecorded(loaded)
+	slots, err := loaded.Slots()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSlotStreamDumpReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := captureRecorded(prog, insts)
+	rec := captureRecorded(prog, insts+ReplaySlack)
 	if len(slots) != rec.len() {
 		t.Fatalf("reloaded %d slots, captured %d", len(slots), rec.len())
 	}
@@ -173,7 +173,7 @@ func TestSlotStreamDumpReload(t *testing.T) {
 		eng.Run(insts)
 		return eng.Stats()
 	}
-	live := run(NewSlotStream(captured))
+	live := run(&replayStream{rec: rec})
 	reloaded := run(NewSlotStream(slots))
 	if !reflect.DeepEqual(live, reloaded) {
 		t.Error("timing stats differ between live and reloaded streams")

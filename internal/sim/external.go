@@ -85,11 +85,7 @@ func runExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Opt
 		}
 	}
 
-	stream, ok := NewSlotStream(ext.Slots).(slotSource)
-	if !ok {
-		return res, fmt.Errorf("sim: external slot stream is not a correct-path source")
-	}
-	st, err := runStreamStats(ctx, ext.Name, stream, cfg, mode, o, budget, warmFrac, 0)
+	st, err := runStreamStats(ctx, ext.Name, &sliceStream{slots: ext.Slots}, cfg, mode, o, budget, warmFrac, 0)
 	if err != nil {
 		return res, err
 	}

@@ -18,18 +18,9 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/tracing"
 	"repro/internal/translate"
-	"repro/internal/uop"
 	"repro/internal/workload"
 	"repro/internal/x86"
 )
-
-// decodedInst is a per-PC decode-and-translation cache entry: one map
-// lookup on the stepping hot path instead of the two that separate
-// inst/µop maps cost.
-type decodedInst struct {
-	in   x86.Inst
-	uops []uop.UOp
-}
 
 // addrChunk is the arena-chunk size for per-slot memory addresses: one
 // allocation per ~16k addresses instead of one per memory instruction.
@@ -42,19 +33,19 @@ const addrChunk = 16 << 10
 const maxSlotMemOps = 8
 
 // cpuStream adapts the functional interpreter to the timing model's
-// correct-path instruction stream (the Micro-Op Injector).
+// correct-path instruction stream (the Micro-Op Injector). The CPU and
+// the stream share the program's static table: each retired instruction
+// costs one table index, and the slot points at the shared entry.
 type cpuStream struct {
-	c       *cpu.CPU
-	decoded map[uint32]decodedInst
-	addrs   []uint32 // current arena chunk for slot MemAddrs
-	err     error
+	c      *cpu.CPU
+	static *translate.StaticTable
+	addrs  []uint32 // current arena chunk for slot MemAddrs
+	err    error
 }
 
 func newCPUStream(prog *workload.Program) *cpuStream {
-	return &cpuStream{
-		c:       prog.NewCPU(),
-		decoded: make(map[uint32]decodedInst),
-	}
+	c := prog.NewCPU()
+	return &cpuStream{c: c, static: c.Decoder.(*translate.StaticTable)}
 }
 
 // Next retires one instruction on the reference machine.
@@ -62,44 +53,33 @@ func (s *cpuStream) Next() (pipeline.Slot, bool) {
 	if s.c.Halted || s.err != nil {
 		return pipeline.Slot{}, false
 	}
-	pc := s.c.PC
-	d, ok := s.decoded[pc]
-	if !ok {
-		in, err := x86.Decode(s.c.Mem.ReadBytes(pc, 15))
-		if err != nil {
-			s.err = err
-			return pipeline.Slot{}, false
-		}
-		us, err := translate.UOps(in, pc)
-		if err != nil {
-			s.err = err
-			return pipeline.Slot{}, false
-		}
-		d = decodedInst{in: in, uops: us}
-		s.decoded[pc] = d
+	st, err := s.static.Lookup(s.c.PC)
+	if err != nil {
+		s.err = err
+		return pipeline.Slot{}, false
 	}
-	if d.in.Op == x86.OpHLT {
+	if st.Inst.Op == x86.OpHLT {
 		return pipeline.Slot{}, false
 	}
 	if cap(s.addrs)-len(s.addrs) < maxSlotMemOps {
 		s.addrs = make([]uint32, 0, addrChunk)
 	}
 	base := len(s.addrs)
-	grown, nextPC, err := s.c.StepAddrs(s.addrs)
+	grown, nextPC, err := s.c.StepInst(&st.Inst, s.addrs)
 	if err != nil {
 		s.err = err
 		return pipeline.Slot{}, false
 	}
 	s.addrs = grown
 	// nil (not empty) when the instruction touches no memory, so slots
-	// round-trip exactly through the on-disk slot-stream format. The
+	// round-trip exactly through the external trace format. The
 	// addresses alias the arena chunk, capacity-clipped; slots are
 	// read-only downstream.
 	var addrs []uint32
 	if n := len(grown); n > base {
 		addrs = grown[base:n:n]
 	}
-	return pipeline.Slot{PC: pc, Inst: d.in, UOps: d.uops, NextPC: nextPC, MemAddrs: addrs}, true
+	return pipeline.Slot{StaticInst: st, NextPC: nextPC, MemAddrs: addrs}, true
 }
 
 // Options configures a run beyond the processor mode.
@@ -494,7 +474,7 @@ type reuseTee struct {
 	pass   []pipeline.ReusePassProbe
 }
 
-func (t *reuseTee) ReuseSlot(s pipeline.Slot, fromFrame bool, uopsExecuted int) {
+func (t *reuseTee) ReuseSlot(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
 	for _, p := range t.probes {
 		p.ReuseSlot(s, fromFrame, uopsExecuted)
 	}

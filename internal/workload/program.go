@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/trace"
+	"repro/internal/translate"
 )
 
 // Standard memory layout of generated programs.
@@ -33,7 +34,9 @@ type Program struct {
 }
 
 // NewCPU returns a fresh functional CPU with the program loaded and the
-// stack pointer initialized.
+// stack pointer initialized. Its Decoder is a new static instruction
+// table over the code image (a *translate.StaticTable), which the
+// timing model's stream shares.
 func (p *Program) NewCPU() *cpu.CPU {
 	mem := cpu.NewMemory()
 	mem.WriteBytes(p.Base, p.Code)
@@ -41,6 +44,8 @@ func (p *Program) NewCPU() *cpu.CPU {
 		mem.WriteBytes(s.Addr, s.Bytes)
 	}
 	c := cpu.New(mem)
+	c.Decoder = translate.NewStaticTable(p.Base, len(p.Code),
+		func(pc uint32) []byte { return mem.ReadBytes(pc, 15) })
 	c.PC = p.Entry
 	c.SetReg(4, StackTop) // ESP
 	return c

@@ -74,36 +74,26 @@ func (t *Trace) memAddrs(g group) []uint32 {
 	return addrs
 }
 
-// codeSlots re-decodes every instruction from the embedded image. The
-// successor of each slot is the next group's EIP; the last slot's comes
-// from the end-of-stream sentinel, falling back to the decoded
-// fall-through (or direct-branch target) when the sentinel is absent.
+// codeSlots re-decodes every instruction from the embedded image, once
+// per PC through a static table, so slots of the same PC share one
+// *pipeline.StaticInst. The successor of each slot is the next group's
+// EIP; the last slot's comes from the end-of-stream sentinel, falling
+// back to the decoded fall-through (or direct-branch target) when the
+// sentinel is absent.
 func (t *Trace) codeSlots(groups []group) ([]pipeline.Slot, error) {
-	insts := make(map[uint32]x86.Inst)
-	uopsOf := make(map[uint32][]uop.UOp)
+	static := translate.NewStaticTable(t.CodeBase, len(t.Code),
+		func(pc uint32) []byte { return t.Code[pc-t.CodeBase:] })
 	slots := make([]pipeline.Slot, 0, len(groups))
 	for gi, g := range groups {
-		in, ok := insts[g.eip]
-		var us []uop.UOp
-		if ok {
-			us = uopsOf[g.eip]
-		} else {
-			if g.eip < t.CodeBase || g.eip >= t.CodeBase+uint32(len(t.Code)) {
-				return nil, fmt.Errorf("%w: record %d EIP %#x outside code image [%#x,%#x)",
-					ErrInconsistent, g.lo, g.eip, t.CodeBase, t.CodeBase+uint32(len(t.Code)))
-			}
-			var err error
-			in, err = x86.Decode(t.Code[g.eip-t.CodeBase:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d EIP %#x: %v", ErrInconsistent, g.lo, g.eip, err)
-			}
-			us, err = translate.UOps(in, g.eip)
-			if err != nil {
-				return nil, fmt.Errorf("%w: record %d EIP %#x: %v", ErrInconsistent, g.lo, g.eip, err)
-			}
-			insts[g.eip] = in
-			uopsOf[g.eip] = us
+		if g.eip < t.CodeBase || g.eip >= t.CodeBase+uint32(len(t.Code)) {
+			return nil, fmt.Errorf("%w: record %d EIP %#x outside code image [%#x,%#x)",
+				ErrInconsistent, g.lo, g.eip, t.CodeBase, t.CodeBase+uint32(len(t.Code)))
 		}
+		st, err := static.Lookup(g.eip)
+		if err != nil {
+			return nil, fmt.Errorf("%w: record %d EIP %#x: %v", ErrInconsistent, g.lo, g.eip, err)
+		}
+		in, us := &st.Inst, st.UOps
 		// The record grouping must agree with the translation: one record
 		// per cracked micro-op, and no more address-carrying records than
 		// the flow has memory micro-ops (exporters may legitimately omit
@@ -140,9 +130,7 @@ func (t *Trace) codeSlots(groups []group) ([]pipeline.Slot, error) {
 		default:
 			next = g.eip + uint32(in.Len)
 		}
-		slots = append(slots, pipeline.Slot{
-			PC: g.eip, Inst: in, UOps: us, NextPC: next, MemAddrs: t.memAddrs(g),
-		})
+		slots = append(slots, pipeline.Slot{StaticInst: st, NextPC: next, MemAddrs: t.memAddrs(g)})
 	}
 	return slots, nil
 }
@@ -154,15 +142,6 @@ var synthRegs = [6]uop.Reg{uop.EAX, uop.EBX, uop.ECX, uop.EDX, uop.ESI, uop.EDI}
 
 func synthReg(eip uint32, salt int) uop.Reg {
 	return synthRegs[(uint32(salt)+eip*2654435761)%uint32(len(synthRegs))]
-}
-
-// synthDecoded is the per-PC synthesized decode. Like a real decode it
-// is a pure function of the (first-seen) static properties of the PC, so
-// repeated visits share one instruction identity — which the frame
-// cache's PC-comparison replay discipline requires.
-type synthDecoded struct {
-	in   x86.Inst
-	uops []uop.UOp
 }
 
 // synthSlots fabricates a canonical instruction per group. Per-PC decode
@@ -208,8 +187,12 @@ func (t *Trace) synthSlots(groups []group) []pipeline.Slot {
 		return l
 	}
 
-	// Pass 2: synthesize the per-PC decode and materialize slots.
-	decoded := make(map[uint32]synthDecoded)
+	// Pass 2: synthesize the per-PC decode and materialize slots. Like a
+	// real decode it is a pure function of the (first-seen) static
+	// properties of the PC, so repeated visits share one instruction
+	// identity — which the frame cache's PC-comparison replay discipline
+	// requires.
+	decoded := make(map[uint32]*pipeline.StaticInst)
 	slots := make([]pipeline.Slot, 0, len(groups))
 	for gi, g := range groups {
 		d, ok := decoded[g.eip]
@@ -226,18 +209,16 @@ func (t *Trace) synthSlots(groups []group) []pipeline.Slot {
 		case g.taken:
 			next = g.eip // any successor != PC+Len keeps the taken relation
 		default:
-			next = g.eip + uint32(d.in.Len)
+			next = g.eip + uint32(d.Inst.Len)
 		}
-		slots = append(slots, pipeline.Slot{
-			PC: g.eip, Inst: d.in, UOps: d.uops, NextPC: next, MemAddrs: t.memAddrs(g),
-		})
+		slots = append(slots, pipeline.Slot{StaticInst: d, NextPC: next, MemAddrs: t.memAddrs(g)})
 	}
 	return slots
 }
 
 // synthDecode fabricates the instruction and micro-op flow for one PC
 // from its first dynamic occurrence.
-func (t *Trace) synthDecode(g group, length uint32, takenNext uint32) synthDecoded {
+func (t *Trace) synthDecode(g group, length uint32, takenNext uint32) *pipeline.StaticInst {
 	var us []uop.UOp
 	dominant := ClassExec
 	for i := g.lo; i < g.hi; i++ {
@@ -275,8 +256,7 @@ func (t *Trace) synthDecode(g group, length uint32, takenNext uint32) synthDecod
 				Dest: synthReg(g.eip, salt), SrcA: synthReg(g.eip, salt), SrcB: synthReg(g.eip, salt+1)})
 		}
 	}
-	in := synthInst(g.eip, dominant, length, takenNext)
-	return synthDecoded{in: in, uops: us}
+	return &pipeline.StaticInst{PC: g.eip, Inst: synthInst(g.eip, dominant, length, takenNext), UOps: us}
 }
 
 // synthInst fabricates the x86-level identity of a synthesized

@@ -6,64 +6,37 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"io"
 
-	"repro/internal/trace"
-	"repro/internal/translate"
+	"repro/internal/pipeline"
 	"repro/internal/uop"
-	"repro/internal/x86"
 )
 
-// FromSlotStream converts a captured retired-slot stream into an
-// external trace with an embedded code image, emitting one record per
-// translated micro-op. insts is the intended instruction budget (0 means
+// FromStream drains a retired slot stream over the code image at
+// codeBase into an external trace with that image embedded, emitting one
+// record per micro-op. insts is the intended instruction budget (0 means
 // the whole stream is the budget); the stream is expected to carry slack
 // slots beyond it (FlagPadded is set when it does). The result
-// round-trips: adapting it back to slots reproduces the capture
+// round-trips: adapting it back to slots reproduces the stream
 // bit-identically, because decode/translation are deterministic
 // functions of the code bytes.
-func FromSlotStream(ss *trace.SlotStream, insts int) (*Trace, error) {
+func FromStream(name string, codeBase uint32, code []byte, src pipeline.Stream, insts int) *Trace {
 	t := &Trace{
 		Header: Header{
 			Version: FormatVersion,
-			Name:    ss.Name,
+			Name:    name,
 			Arch:    ArchIA32,
 			Flags:   FlagHasCode,
 		},
-		CodeBase: ss.CodeBase,
-		Code:     ss.Code,
+		CodeBase: codeBase,
+		Code:     code,
 	}
-	if insts > 0 && insts <= len(ss.Slots) {
-		t.Header.Insts = uint32(insts)
-		if insts < len(ss.Slots) {
-			t.Header.Flags |= FlagPadded
-		}
-	}
-	uops := make(map[uint32][]uop.UOp)
-	lens := make(map[uint32]uint32)
-	for i := range ss.Slots {
-		s := &ss.Slots[i]
-		us, ok := uops[s.PC]
-		if !ok {
-			b := ss.InstBytes(s.PC)
-			if b == nil {
-				return nil, fmt.Errorf("xtrace: slot %d PC %#x outside the code image", i, s.PC)
-			}
-			in, err := x86.Decode(b)
-			if err != nil {
-				return nil, fmt.Errorf("xtrace: slot %d PC %#x: %w", i, s.PC, err)
-			}
-			us, err = translate.UOps(in, s.PC)
-			if err != nil {
-				return nil, fmt.Errorf("xtrace: slot %d PC %#x: %w", i, s.PC, err)
-			}
-			uops[s.PC] = us
-			lens[s.PC] = uint32(in.Len)
-		}
-		taken := s.NextPC != s.PC+lens[s.PC]
+	n := 0
+	for s, ok := src.Next(); ok; s, ok = src.Next() {
+		n++
+		taken := s.Taken()
 		mem := 0
-		for ui, u := range us {
+		for ui, u := range s.UOps {
 			r := Record{EIP: s.PC, Class: classOf(u.Op)}
 			if ui == 0 {
 				r.Flags |= RecFirst
@@ -79,13 +52,17 @@ func FromSlotStream(ss *trace.SlotStream, insts int) (*Trace, error) {
 			}
 			t.Records = append(t.Records, r)
 		}
-		if i == len(ss.Slots)-1 {
-			t.FinalPC = s.NextPC
-			t.HasFinal = true
+		t.FinalPC = s.NextPC
+		t.HasFinal = true
+	}
+	if insts > 0 && insts <= n {
+		t.Header.Insts = uint32(insts)
+		if insts < n {
+			t.Header.Flags |= FlagPadded
 		}
 	}
 	t.Header.UOps = uint64(len(t.Records))
-	return t, nil
+	return t
 }
 
 // classOf maps a micro-op opcode to its record class.

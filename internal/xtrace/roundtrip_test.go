@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/sim"
+	"repro/internal/translate"
 	"repro/internal/workload"
+	"repro/internal/x86"
 	"repro/internal/xtrace"
 )
 
@@ -32,11 +34,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 	}
 
 	// Export: capture budget+slack slots, intended budget in the header.
-	ss, err := sim.CaptureSlotStream(p, 0, budget+sim.ReplaySlack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xt, err := xtrace.FromSlotStream(ss, budget)
+	xt, err := sim.CaptureXTrace(p, 0, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,21 +83,14 @@ func TestRoundTripBitIdentical(t *testing.T) {
 }
 
 // The adapted slot stream itself must reproduce the capture exactly:
-// same PCs, successors, instructions, micro-op flows, and addresses.
+// same PCs, successors, instructions, micro-op flows, and addresses, as
+// the reference interpreter retires them step by step.
 func TestAdaptedSlotsMatchCapture(t *testing.T) {
 	p, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := sim.CaptureSlotStream(p, 0, 5_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sim.SlotsFromRecorded(ss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xt, err := xtrace.FromSlotStream(ss, 0)
+	xt, err := sim.CaptureXTrace(p, 0, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +106,35 @@ func TestAdaptedSlotsMatchCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("adapted %d slots, capture has %d", len(got), len(want))
+	if want := 5_000 + sim.ReplaySlack; len(got) != want {
+		t.Fatalf("adapted %d slots, capture has %d", len(got), want)
 	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("slot %d differs:\n got:  %+v\n want: %+v", i, got[i], want[i])
+	prog, err := workload.Generate(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := prog.NewCPU()
+	for i := range got {
+		rec, err := c.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := x86.Decode(prog.Code[rec.PC-prog.Base:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		us, err := translate.UOps(in, rec.PC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var addrs []uint32
+		for _, m := range rec.MemOps {
+			addrs = append(addrs, m.Addr)
+		}
+		want := pipeline.Slot{StaticInst: &pipeline.StaticInst{PC: rec.PC, Inst: in, UOps: us},
+			NextPC: rec.NextPC, MemAddrs: addrs}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("slot %d differs:\n got:  %+v\n want: %+v", i, got[i], want)
 		}
 	}
 }
