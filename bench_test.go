@@ -414,7 +414,7 @@ func BenchmarkReuseOverhead(b *testing.B) {
 // nil, the default for every non-cycles run) the fetch stage pays one
 // nil check per charged cycle — the "off" bar, which must stay within
 // noise of the un-instrumented pipeline. "Attached" runs the full
-// per-PC attribution plus the embedded loop detector, the price of the
+// per-PC attribution plus the shared loop detector, the price of the
 // cycles experiment itself.
 func BenchmarkCycleProfOverhead(b *testing.B) {
 	p, err := workload.ByName("gzip")

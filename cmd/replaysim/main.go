@@ -67,7 +67,7 @@ func main() {
 	pprofOut := flag.String("pprof", "",
 		"with -experiment cycles: write the guest-cycle profile as gzipped pprof protobuf to this file (inspect with `go tool pprof`)")
 	vs := flag.String("vs", "",
-		"with -experiment diff: the variant spec to compare against the RPO baseline — comma-separated tokens: pass names to disable (nop,cp,ra,cse,sf,asst,spec), scope=block|inter|frame, mode=IC|TC|RP|RPO, repeats=N")
+		"with -experiment diff: the variant spec to compare against the RPO baseline — comma-separated tokens: pass names to disable (nop,cp,ra,cse,sf,asst,spec), scope=block|inter|frame, mode=IC|TC|RP|RPO, repeats=N (at most 32)")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "warn", "minimum log level: debug, info, warn, error")
 	flag.Parse()

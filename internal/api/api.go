@@ -131,9 +131,14 @@ type DiffSpec struct {
 	// exactly one workload).
 	XTrace string `json:"xtrace,omitempty"`
 	// Repeats is how many runs per side feed the significance gate
-	// (default 1; the first run of each side carries the diff probe).
+	// (default 1, at most MaxDiffRepeats; the first run of each side
+	// carries the diff probe).
 	Repeats int `json:"repeats,omitempty"`
 }
+
+// MaxDiffRepeats caps DiffSpec.Repeats: every repeat is a full run per
+// side, and the per-side result slots are allocated up front.
+const MaxDiffRepeats = 32
 
 // Canonical returns the request in canonical form: names are trimmed
 // and case-folded, defaults that affect identity are filled in, and the
@@ -298,6 +303,9 @@ func (r RunRequest) Validate() error {
 		if err := validateConfig(d.Config); err != nil {
 			return err
 		}
+		if d.Repeats > MaxDiffRepeats {
+			return fmt.Errorf("repeats %d exceeds the maximum of %d", d.Repeats, MaxDiffRepeats)
+		}
 		if d.XTrace != "" && c.XTrace == "" && len(c.Workloads) != 1 {
 			return fmt.Errorf("a trace-variant diff needs a single-source baseline (an xtrace or exactly one workload)")
 		}
@@ -350,7 +358,7 @@ func validateConfig(c *ConfigOverrides) error {
 // that optimization on the variant side (asst, cp, cse, nop, ra, sf,
 // spec), "scope=block|inter|frame" narrows the optimizer scope,
 // "mode=IC|TC|RP|RPO" switches the fetch engine, "repeats=N" sets the
-// significance repeat count, and "xtrace=ID" replays an uploaded trace
+// significance repeat count (at most MaxDiffRepeats), and "xtrace=ID" replays an uploaded trace
 // as the variant. The spec's label defaults to the input string.
 func ParseDiffSpec(s string) (*DiffSpec, error) {
 	d := &DiffSpec{Label: strings.TrimSpace(s)}
@@ -376,8 +384,8 @@ func ParseDiffSpec(s string) (*DiffSpec, error) {
 			d.Mode = strings.ToUpper(val)
 		case "repeats":
 			n, err := strconv.Atoi(val)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("bad repeats %q in diff spec", val)
+			if err != nil || n < 1 || n > MaxDiffRepeats {
+				return nil, fmt.Errorf("bad repeats %q in diff spec (want 1 to %d)", val, MaxDiffRepeats)
 			}
 			d.Repeats = n
 		case "xtrace":

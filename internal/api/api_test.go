@@ -1,6 +1,7 @@
 package api
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -33,5 +34,29 @@ func TestValidateConfigRanges(t *testing.T) {
 		case tc.field != "" && !strings.Contains(err.Error(), tc.field):
 			t.Errorf("%+v: error %q does not name %s", tc.req, err, tc.field)
 		}
+	}
+}
+
+// TestDiffRepeatsCapped: a diff's repeat count is bounded, so a request
+// cannot make the simulator allocate and run an unbounded number of
+// per-side runs. Both the wire spec and the -vs grammar enforce it.
+func TestDiffRepeatsCapped(t *testing.T) {
+	diff := func(n int) RunRequest {
+		return RunRequest{Experiment: "diff", Diff: &DiffSpec{Repeats: n}}
+	}
+	if err := diff(MaxDiffRepeats).Validate(); err != nil {
+		t.Errorf("repeats %d: %v", MaxDiffRepeats, err)
+	}
+	for _, n := range []int{MaxDiffRepeats + 1, 1_000_000_000} {
+		err := diff(n).Validate()
+		if err == nil || !strings.Contains(err.Error(), "repeats") {
+			t.Errorf("repeats %d: error %v, want one naming repeats", n, err)
+		}
+	}
+	if _, err := ParseDiffSpec(fmt.Sprintf("cse,repeats=%d", MaxDiffRepeats)); err != nil {
+		t.Errorf("-vs repeats=%d: %v", MaxDiffRepeats, err)
+	}
+	if _, err := ParseDiffSpec(fmt.Sprintf("cse,repeats=%d", MaxDiffRepeats+1)); err == nil {
+		t.Errorf("-vs repeats=%d accepted", MaxDiffRepeats+1)
 	}
 }

@@ -47,53 +47,6 @@ func (c *pcCell) add(o *pcCell) {
 	c.covered += o.covered
 }
 
-// Detector is the per-engine streaming profiler. It implements both
-// pipeline.CycleProbe (per-PC cycle attribution) and, via the embedded
-// reuse.Detector, pipeline.ReuseProbe (loop structure plus per-PC
-// retired-work counts for IPC and coverage). Single-goroutine, like the
-// engine that drives it.
-type Detector struct {
-	reuse.Detector
-	pcs   map[uint32]*pcCell
-	order []uint32 // insertion order, for deterministic folds
-}
-
-// NewDetector returns an empty detector.
-func NewDetector() *Detector {
-	return &Detector{Detector: *reuse.NewDetector(), pcs: make(map[uint32]*pcCell)}
-}
-
-func (d *Detector) cell(pc uint32) *pcCell {
-	c := d.pcs[pc]
-	if c == nil {
-		c = &pcCell{}
-		d.pcs[pc] = c
-		d.order = append(d.order, pc)
-	}
-	return c
-}
-
-// CycleCharge implements pipeline.CycleProbe.
-func (d *Detector) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
-	c := d.cell(pc)
-	c.bins[bin] += n
-	c.cycles += n
-}
-
-// ReuseSlot feeds one retired instruction: the embedded loop detector
-// maintains its loop stack, and the per-PC cell counts retired work so
-// loop rollups can report IPC and frame coverage.
-func (d *Detector) ReuseSlot(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
-	d.Detector.ReuseSlot(s, fromFrame, uopsExecuted)
-	c := d.cell(s.PC)
-	c.x86++
-	n := uint64(len(s.UOps))
-	c.uops += n
-	if fromFrame {
-		c.covered += n
-	}
-}
-
 // pcKey identifies a PC across traces (traces are independent address
 // spaces, so the same PC in two traces is two different locations).
 type pcKey struct {
@@ -101,7 +54,7 @@ type pcKey struct {
 	pc    uint32
 }
 
-// Collector aggregates per-engine detectors into one workload profile.
+// Collector aggregates per-engine probes into one workload profile.
 // Like reuse.Collector it is handed to the simulation via sim.Options
 // and attached per engine after warmup; each trace gets its own Probe
 // (single-goroutine, like the engine), and Close folds the probe's
@@ -116,17 +69,54 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{pcs: make(map[pcKey]*pcCell)} }
 
-// Probe is the per-engine observer: a Detector plus the fold-back link.
+// Probe is the per-engine profiler, a pipeline.Probe: per-PC cycle
+// charges and retired-work counts, plus the engine's shared loop
+// detector (read at Close for the loop join) and the fold-back link.
+// Single-goroutine, like the engine that drives it.
 type Probe struct {
-	Detector
+	pipeline.NopProbe
+	loops *reuse.Detector
+	pcs   map[uint32]*pcCell
+	order []uint32 // insertion order, for deterministic folds
 	c     *Collector
 	trace int
 }
 
 // Attach returns a fresh probe for one engine run over the given trace
-// index. Close it once the run finishes.
-func (c *Collector) Attach(trace int) *Probe {
-	return &Probe{Detector: *NewDetector(), c: c, trace: trace}
+// index, joined against the loops the engine's detector finds. Close it
+// once the run finishes.
+func (c *Collector) Attach(trace int, loops *reuse.Detector) *Probe {
+	return &Probe{loops: loops, pcs: make(map[uint32]*pcCell), c: c, trace: trace}
+}
+
+// cell returns the probe's accumulation cell for pc.
+func (p *Probe) cell(pc uint32) *pcCell {
+	c := p.pcs[pc]
+	if c == nil {
+		c = &pcCell{}
+		p.pcs[pc] = c
+		p.order = append(p.order, pc)
+	}
+	return c
+}
+
+// Charge attributes n fetch cycles at pc to bin.
+func (p *Probe) Charge(pc uint32, bin pipeline.Bin, n uint64) {
+	c := p.cell(pc)
+	c.bins[bin] += n
+	c.cycles += n
+}
+
+// Retire counts one retired instruction's work at its PC, so loop
+// rollups can report IPC and frame coverage.
+func (p *Probe) Retire(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
+	c := p.cell(s.PC)
+	c.x86++
+	n := uint64(len(s.UOps))
+	c.uops += n
+	if fromFrame {
+		c.covered += n
+	}
 }
 
 // Close folds the probe's tables into its collector. Idempotent calls
@@ -149,7 +139,7 @@ func (p *Probe) Close() {
 		}
 		cell.add(p.pcs[pc])
 	}
-	for _, l := range p.Loops() {
+	for _, l := range p.loops.Loops() {
 		l.Trace = p.trace
 		c.loops = append(c.loops, l)
 	}

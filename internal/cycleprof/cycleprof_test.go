@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/reuse"
 	"repro/internal/x86"
 )
 
@@ -14,15 +15,22 @@ func slot(pc, next uint32) *pipeline.Slot {
 	return &pipeline.Slot{StaticInst: &pipeline.StaticInst{PC: pc, Inst: x86.Inst{Op: x86.OpJCC, Len: 2}}, NextPC: next}
 }
 
+// retire feeds a slot to the shared loop detector, then to the probe:
+// the order the engine hands it to them.
+func retire(d *reuse.Detector, p *Probe, s *pipeline.Slot) {
+	d.Retire(s, false, 1)
+	p.Retire(s, false, 1)
+}
+
 func TestCollectorFoldAndTotals(t *testing.T) {
 	c := NewCollector()
-	p0 := c.Attach(0)
-	p0.CycleCharge(0x10, pipeline.BinICache, 3)
-	p0.CycleCharge(0x10, pipeline.BinMispred, 5)
-	p0.CycleCharge(0x20, pipeline.BinICache, 2)
+	p0 := c.Attach(0, reuse.NewDetector())
+	p0.Charge(0x10, pipeline.BinICache, 3)
+	p0.Charge(0x10, pipeline.BinMispred, 5)
+	p0.Charge(0x20, pipeline.BinICache, 2)
 	p0.Close()
-	p1 := c.Attach(1)
-	p1.CycleCharge(0x10, pipeline.BinFrame, 7)
+	p1 := c.Attach(1, reuse.NewDetector())
+	p1.Charge(0x10, pipeline.BinFrame, 7)
 	p1.Close()
 	p1.Close() // idempotent: a second close must not double-count
 
@@ -57,18 +65,19 @@ func TestCollectorFoldAndTotals(t *testing.T) {
 
 func TestLoopJoinInclusive(t *testing.T) {
 	c := NewCollector()
-	p := c.Attach(0)
+	d := reuse.NewDetector()
+	p := c.Attach(0, d)
 	// Inner loop 0x20..0x28 nested in outer 0x10..0x30: two inner back
 	// edges per outer iteration, two outer iterations.
 	for outer := 0; outer < 2; outer++ {
 		for inner := 0; inner < 2; inner++ {
-			p.ReuseSlot(slot(0x28, 0x20), false, 1) // inner back edge
+			retire(d, p, slot(0x28, 0x20)) // inner back edge
 		}
-		p.ReuseSlot(slot(0x30, 0x10), false, 1) // outer back edge
+		retire(d, p, slot(0x30, 0x10)) // outer back edge
 	}
-	p.CycleCharge(0x24, pipeline.BinICache, 10) // inside both loops
-	p.CycleCharge(0x12, pipeline.BinICache, 4)  // outer only
-	p.CycleCharge(0x40, pipeline.BinICache, 1)  // outside both
+	p.Charge(0x24, pipeline.BinICache, 10) // inside both loops
+	p.Charge(0x12, pipeline.BinICache, 4)  // outer only
+	p.Charge(0x40, pipeline.BinICache, 1)  // outside both
 	p.Close()
 
 	r := c.Snapshot()
@@ -103,11 +112,12 @@ func TestLoopJoinInclusive(t *testing.T) {
 
 func TestProfileRoundTrip(t *testing.T) {
 	c := NewCollector()
-	p := c.Attach(0)
-	p.ReuseSlot(slot(0x28, 0x20), false, 1)
-	p.CycleCharge(0x24, pipeline.BinICache, 100)
-	p.CycleCharge(0x24, pipeline.BinMispred, 23)
-	p.CycleCharge(0x50, pipeline.BinFrame, 7)
+	d := reuse.NewDetector()
+	p := c.Attach(0, d)
+	retire(d, p, slot(0x28, 0x20))
+	p.Charge(0x24, pipeline.BinICache, 100)
+	p.Charge(0x24, pipeline.BinMispred, 23)
+	p.Charge(0x50, pipeline.BinFrame, 7)
 	p.Close()
 	r := c.Snapshot()
 
@@ -141,10 +151,11 @@ func TestProfileRoundTrip(t *testing.T) {
 
 func TestFlameText(t *testing.T) {
 	c := NewCollector()
-	p := c.Attach(0)
-	p.ReuseSlot(slot(0x28, 0x20), false, 1) // loop 0x20..0x28
-	p.CycleCharge(0x24, pipeline.BinICache, 9)
-	p.CycleCharge(0x40, pipeline.BinStall, 2)
+	d := reuse.NewDetector()
+	p := c.Attach(0, d)
+	retire(d, p, slot(0x28, 0x20)) // loop 0x20..0x28
+	p.Charge(0x24, pipeline.BinICache, 9)
+	p.Charge(0x40, pipeline.BinStall, 2)
 	p.Close()
 	r := c.Snapshot()
 

@@ -1,15 +1,14 @@
 // Package diff is the ablation diff engine: it observes two runs of
 // the simulator — baseline and variant — with a probe that partitions
-// every observable the other probes report (retired work from
-// internal/reuse's loop detector, per-pass optimizer removals from the
-// PassRecorder feed, charged fetch cycles from the cycle-probe feed)
-// over the detected loops, then joins the two partitions into a
+// every pipeline.Probe event (retired work, per-pass optimizer
+// removals, charged fetch cycles) over the loops the engine's shared
+// internal/reuse detector finds, then joins the two partitions into a
 // conservation-exact delta report: for each loop, which pass removed
 // how many micro-ops and how many fetch cycles that bought.
 //
 // Unlike internal/cycleprof's loop join — an inclusive interval rollup
 // where an outer loop's row contains its inner loops — the diff
-// detector attributes each event to the innermost active loop at event
+// probe attributes each event to the innermost active loop at event
 // time, so the rows form an exact partition: every retired micro-op,
 // every pass kill, and every charged cycle lands in exactly one row
 // (straight-line code gets a pseudo-row per trace). Per side, the row
@@ -106,93 +105,6 @@ func (r *Row) add(o *Row) {
 	}
 }
 
-// Detector is the per-engine diff probe. It embeds the streaming loop
-// detector from internal/reuse for loop identification and overrides
-// the probe callbacks to additionally bin every event into the
-// innermost active loop's row. It implements pipeline.ReuseProbe,
-// pipeline.ReusePassProbe, and pipeline.CycleProbe; single-goroutine,
-// like the engine that drives it.
-type Detector struct {
-	reuse.Detector
-	rows     map[uint32]*Row // keyed by loop header PC
-	order    []uint32        // header insertion order, for deterministic folds
-	straight Row
-}
-
-// NewDetector returns an empty detector.
-func NewDetector() *Detector {
-	return &Detector{Detector: *reuse.NewDetector(), rows: make(map[uint32]*Row),
-		straight: Row{Straight: true}}
-}
-
-// row returns the accumulation cell for the current innermost active
-// loop (the straight-line pseudo-row outside any loop).
-func (d *Detector) row() *Row {
-	h, ok := d.Active()
-	if !ok {
-		return &d.straight
-	}
-	r := d.rows[h]
-	if r == nil {
-		r = &Row{Header: h}
-		d.rows[h] = r
-		d.order = append(d.order, h)
-	}
-	return r
-}
-
-// ReuseSlot feeds one retired instruction: the embedded detector
-// maintains the loop stack (including the back-edge control effects of
-// this very instruction), then the slot's work is attributed to the
-// loop active after those effects — a back edge's closing branch counts
-// toward the loop it closes.
-func (d *Detector) ReuseSlot(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
-	d.Detector.ReuseSlot(s, fromFrame, uopsExecuted)
-	r := d.row()
-	r.X86++
-	n := uint64(len(s.UOps))
-	r.UOps += n
-	r.UOpsRetired += uint64(uopsExecuted)
-	if fromFrame {
-		r.Covered += n
-	}
-}
-
-// ReuseFrameHit attributes a frame-cache fetch to the active loop.
-func (d *Detector) ReuseFrameHit() {
-	d.Detector.ReuseFrameHit()
-	d.row().FrameHits++
-}
-
-// ReuseFrameRetired attributes a committed frame's optimized body.
-func (d *Detector) ReuseFrameRetired(uops int) {
-	d.Detector.ReuseFrameRetired(uops)
-	d.row().UOpsRetired += uint64(uops)
-}
-
-// ReuseOptRemoved attributes an optimizer run's net removal. It fires
-// at the same call site as the per-pass feed (ReusePass), so per row
-// the two agree: OptRemoved equals the summed Killed of Passes.
-func (d *Detector) ReuseOptRemoved(removed int) {
-	d.Detector.ReuseOptRemoved(removed)
-	d.row().OptRemoved += uint64(removed)
-}
-
-// ReusePass implements pipeline.ReusePassProbe: one changed optimizer
-// pass invocation, attributed to the active loop.
-func (d *Detector) ReusePass(pass string, killed, rewritten int) {
-	d.row().addPass(pass, killed, rewritten)
-}
-
-// CycleCharge implements pipeline.CycleProbe: n fetch cycles charged to
-// bin while the active loop ran. The engine's only two cycle-charging
-// paths call this, so the row sums equal Stats.Cycles/Bins exactly.
-func (d *Detector) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
-	r := d.row()
-	r.Cycles += n
-	r.Bins[bin] += n
-}
-
 // rowKey identifies a row across traces.
 type rowKey struct {
 	trace    int
@@ -200,7 +112,7 @@ type rowKey struct {
 	straight bool
 }
 
-// Collector aggregates per-engine detectors into one run profile. Like
+// Collector aggregates per-engine probes into one run profile. Like
 // the reuse and cycleprof collectors it is handed to the simulation via
 // sim.Options and attached per engine after warmup; each trace gets its
 // own Probe, and Close folds the probe's rows in under the lock.
@@ -213,17 +125,83 @@ type Collector struct {
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{rows: make(map[rowKey]*Row)} }
 
-// Probe is the per-engine observer: a Detector plus the fold-back link.
+// Probe is the per-engine diff probe, a pipeline.Probe: it bins every
+// event into the row of the innermost loop active at event time, as
+// reported by the engine's shared loop detector, which must be attached
+// before it. Single-goroutine, like the engine that drives it.
 type Probe struct {
-	Detector
-	c     *Collector
-	trace int
+	pipeline.NopProbe
+	loops    *reuse.Detector
+	rows     map[uint32]*Row // keyed by loop header PC
+	order    []uint32        // header insertion order, for deterministic folds
+	straight Row
+	c        *Collector
+	trace    int
 }
 
 // Attach returns a fresh probe for one engine run over the given trace
-// index. Close it once the run finishes.
-func (c *Collector) Attach(trace int) *Probe {
-	return &Probe{Detector: *NewDetector(), c: c, trace: trace}
+// index, partitioned over the loops the engine's detector finds. Close
+// it once the run finishes.
+func (c *Collector) Attach(trace int, loops *reuse.Detector) *Probe {
+	return &Probe{loops: loops, rows: make(map[uint32]*Row),
+		straight: Row{Straight: true}, c: c, trace: trace}
+}
+
+// row returns the accumulation cell for the current innermost active
+// loop (the straight-line pseudo-row outside any loop).
+func (p *Probe) row() *Row {
+	h, ok := p.loops.Active()
+	if !ok {
+		return &p.straight
+	}
+	r := p.rows[h]
+	if r == nil {
+		r = &Row{Header: h}
+		p.rows[h] = r
+		p.order = append(p.order, h)
+	}
+	return r
+}
+
+// Retire attributes one retired instruction. The shared detector has
+// already applied its control effects, so the slot counts toward the
+// loop active after them — a back edge's closing branch counts toward
+// the loop it closes.
+func (p *Probe) Retire(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
+	r := p.row()
+	r.X86++
+	n := uint64(len(s.UOps))
+	r.UOps += n
+	r.UOpsRetired += uint64(uopsExecuted)
+	if fromFrame {
+		r.Covered += n
+	}
+}
+
+// FrameHit attributes a frame-cache fetch to the active loop.
+func (p *Probe) FrameHit() { p.row().FrameHits++ }
+
+// FrameRetired attributes a committed frame's optimized body.
+func (p *Probe) FrameRetired(uops int) { p.row().UOpsRetired += uint64(uops) }
+
+// OptRemoved attributes an optimizer run's net removal. It fires from
+// the same optimizer run as the per-pass feed (Pass), so per row the
+// two agree: OptRemoved equals the summed Killed of Passes.
+func (p *Probe) OptRemoved(removed int) { p.row().OptRemoved += uint64(removed) }
+
+// Pass attributes one changed optimizer pass invocation to the active
+// loop.
+func (p *Probe) Pass(pass string, killed, rewritten int) {
+	p.row().addPass(pass, killed, rewritten)
+}
+
+// Charge attributes n fetch cycles charged to bin to the active loop.
+// The engine's only two cycle-charging paths call this, so the row
+// sums equal Stats.Cycles/Bins exactly.
+func (p *Probe) Charge(pc uint32, bin pipeline.Bin, n uint64) {
+	r := p.row()
+	r.Cycles += n
+	r.Bins[bin] += n
 }
 
 // Close folds the probe's rows into its collector. Call exactly once,
@@ -235,9 +213,9 @@ func (p *Probe) Close() {
 	c := p.c
 	p.c = nil
 
-	// Stamp loop geometry (tail, nesting) from the embedded detector
+	// Stamp loop geometry (tail, nesting) from the shared detector
 	// before folding.
-	for _, l := range p.Loops() {
+	for _, l := range p.loops.Loops() {
 		if r := p.rows[l.Header]; r != nil {
 			r.Tail = l.Tail
 			r.Nest = l.Nest

@@ -6,6 +6,7 @@ import (
 	"repro/internal/noise"
 	"repro/internal/opt"
 	"repro/internal/pipeline"
+	"repro/internal/reuse"
 	"repro/internal/uop"
 	"repro/internal/x86"
 )
@@ -50,22 +51,24 @@ func loopStream(trips int) []pipeline.Slot {
 // the loop's row rather than the straight pseudo-row.
 func TestDetectorPartition(t *testing.T) {
 	c := NewCollector()
-	p := c.Attach(0)
+	d := reuse.NewDetector()
+	p := c.Attach(0, d)
 	slots := loopStream(5)
 	var inLoop bool
 	for i := range slots {
-		p.ReuseSlot(&slots[i], false, len(slots[i].UOps))
+		d.Retire(&slots[i], false, len(slots[i].UOps))
+		p.Retire(&slots[i], false, len(slots[i].UOps))
 		// One cycle charged per instruction; one pass invocation fired
 		// mid-loop and one in the straight epilogue.
-		p.CycleCharge(slots[i].PC, pipeline.BinFrame, 1)
-		if _, ok := p.Active(); ok && !inLoop {
+		p.Charge(slots[i].PC, pipeline.BinFrame, 1)
+		if _, ok := d.Active(); ok && !inLoop {
 			inLoop = true
-			p.ReusePass("dce", 3, 1)
-			p.ReuseOptRemoved(3)
+			p.Pass("dce", 3, 1)
+			p.OptRemoved(3)
 		}
 	}
-	p.ReusePass("nop", 2, 0)
-	p.ReuseOptRemoved(2)
+	p.Pass("nop", 2, 0)
+	p.OptRemoved(2)
 	p.Close()
 
 	prof := c.Snapshot()

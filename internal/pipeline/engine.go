@@ -111,23 +111,16 @@ type Engine struct {
 	telRun      int
 	telInsertAt map[uint32]uint64 // frame-cache insert cycle per PC, for residency
 
-	// Reuse attribution probe (see SetReuse); nil unless attached, so
-	// the disabled cost on the retirement path is one nil check.
-	reuse ReuseProbe
+	// Guest-analysis probe (see Attach); nil unless attached, so the
+	// disabled cost at each probe call site and at the profAt
+	// attribution points is one nil check.
+	probe Probe
 	// probed is the engine-owned copy the decoded paths hand the probe
 	// (see probeSlot).
 	probed Slot
-	// reusePass is the cached ReusePassProbe view of reuse (nil when the
-	// probe does not implement the extension), resolved once at SetReuse
-	// so the per-frame optimizer call site never asserts.
-	reusePass ReusePassProbe
-
-	// Guest-cycle profiler probe (see SetCycleProf); nil unless
-	// attached, so the disabled cost at the two cycle-charging sites
-	// and at the profAt attribution points is one nil check each.
-	cprof CycleProbe
 	// profPC is the guest PC the next charged fetch cycles are
-	// attributed to; maintained (via profAt) only while cprof is set.
+	// attributed to; maintained (via profAt) only while a probe is
+	// attached.
 	profPC uint32
 
 	// Wall-clock pass timing (see SetPassRecorder); nil unless a span
@@ -310,8 +303,8 @@ func (e *Engine) stallUntil(t uint64, bin Bin) {
 		n := t - e.cycle
 		e.stats.Bins[bin] += n
 		e.cycle = t
-		if e.cprof != nil {
-			e.cprof.CycleCharge(e.profPC, bin, n)
+		if e.probe != nil {
+			e.probe.Charge(e.profPC, bin, n)
 		}
 	}
 }
@@ -320,15 +313,15 @@ func (e *Engine) stallUntil(t uint64, bin Bin) {
 func (e *Engine) tick(bin Bin) {
 	e.stats.Bins[bin]++
 	e.cycle++
-	if e.cprof != nil {
-		e.cprof.CycleCharge(e.profPC, bin, 1)
+	if e.probe != nil {
+		e.probe.Charge(e.profPC, bin, 1)
 	}
 }
 
 // profAt notes the guest PC responsible for subsequently charged fetch
-// cycles. One nil check when no profiler is attached.
+// cycles. One nil check when no probe is attached.
 func (e *Engine) profAt(pc uint32) {
-	if e.cprof != nil {
+	if e.probe != nil {
 		e.profPC = pc
 	}
 }
@@ -539,12 +532,12 @@ func (e *Engine) retireSlot(s *Slot, fromFrame bool, uopsExecuted, loadsExecuted
 	}
 }
 
-// probeSlot hands a decoded-path slot to the reuse probe through an
+// probeSlot hands a decoded-path slot to the probe through an
 // engine-owned copy: passing &s itself would move every fetch loop's
 // slot to the heap, probe attached or not.
 func (e *Engine) probeSlot(s Slot, fromFrame bool, uopsExecuted int) {
 	e.probed = s
-	e.reuse.ReuseSlot(&e.probed, fromFrame, uopsExecuted)
+	e.probe.Retire(&e.probed, fromFrame, uopsExecuted)
 }
 
 // feedConstructor offers a retired instruction to the frame constructor.
@@ -639,7 +632,7 @@ func (e *Engine) fetchICache() {
 	// The group leader owns the group's switch-turnaround, window-stall,
 	// miss, and fetch cycles; mispredict recovery is re-attributed to
 	// the branch by handleControl.
-	if e.cprof != nil {
+	if e.probe != nil {
 		if s, ok := e.peek(); ok {
 			e.profPC = s.PC
 		}
@@ -671,12 +664,12 @@ func (e *Engine) fetchICache() {
 		if !ok {
 			return
 		}
-		if len(s.UOps) > uopsLeft {
-			return // next instruction does not fit this group
-		}
-		// Decode template (4-1-1-1 style): only the leading decoder
-		// handles instructions that crack into multiple micro-ops.
-		if !first && len(s.UOps) > 1 {
+		// The group always takes its leading instruction, even one that
+		// cracks into more than Width micro-ops (as fetchTraceEntry
+		// does); otherwise it could never be fetched. Later ones must
+		// fit, and under the decode template (4-1-1-1 style) only the
+		// leading decoder handles multi-micro-op instructions.
+		if !first && (len(s.UOps) > uopsLeft || len(s.UOps) > 1) {
 			return
 		}
 		first = false
@@ -706,7 +699,7 @@ func (e *Engine) fetchICache() {
 			}
 		}
 		e.retireSlot(&s, false, len(s.UOps), loads)
-		if e.reuse != nil {
+		if e.probe != nil {
 			e.probeSlot(s, false, len(s.UOps))
 		}
 		e.feedConstructor(&s)

@@ -123,7 +123,7 @@ func (e *Engine) fetchTraceEntry(tr *traceEntry) {
 			}
 		}
 		e.retireSlot(&s, true, len(s.UOps), loads)
-		if e.reuse != nil {
+		if e.probe != nil {
 			e.probeSlot(s, true, len(s.UOps))
 		}
 		e.feedConstructor(&s)

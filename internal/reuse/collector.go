@@ -70,7 +70,6 @@ type Collector struct {
 func NewCollector() *Collector { return &Collector{} }
 
 // Probe is the per-engine observer: a Detector plus the fold-back link.
-// It implements pipeline.ReuseProbe.
 type Probe struct {
 	Detector
 	c     *Collector

@@ -167,9 +167,11 @@ type activeLoop struct {
 }
 
 // Detector is the streaming loop detector and attribution engine for
-// one engine run. Feed it every retired instruction in retirement
-// order (it implements pipeline.ReuseProbe); it is single-goroutine,
-// like the engine that drives it.
+// one engine run. It is a pipeline.Probe fed every retired
+// instruction in retirement order, and the one loop detector an engine
+// carries: the cycle profiler and the diff probe read their loop
+// context from it (Active, Loops) and are attached after it. It is
+// single-goroutine, like the engine that drives it.
 //
 // A loop is recognized at its first back edge — a taken control
 // transfer to a lower or equal PC — so an activation's first body
@@ -180,6 +182,7 @@ type activeLoop struct {
 // dynamically inside the loop), and returning below that call depth
 // ends it.
 type Detector struct {
+	pipeline.NopProbe
 	buckets   [NumBuckets]BucketStat
 	loops     map[uint32]*Loop
 	order     []uint32 // header insertion order, for deterministic reports
@@ -207,12 +210,12 @@ func (d *Detector) Active() (header uint32, ok bool) {
 	return 0, false
 }
 
-// ReuseSlot feeds one retired instruction. fromFrame marks slots
-// retired through a committed frame or trace-cache line; uopsExecuted
-// is the post-optimization micro-op count retired with the slot
-// (frame-path slots pass 0 — their optimized body arrives in bulk via
-// ReuseFrameRetired).
-func (d *Detector) ReuseSlot(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
+// Retire feeds one retired instruction. fromFrame marks slots retired
+// through a committed frame or trace-cache line; uopsExecuted is the
+// post-optimization micro-op count retired with the slot (frame-path
+// slots pass 0 — their optimized body arrives in bulk via
+// FrameRetired).
+func (d *Detector) Retire(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
 	pc := s.PC
 	// Leave loops whose body no longer contains the PC at the call depth
 	// they were entered at.
@@ -296,24 +299,24 @@ func (d *Detector) backEdge(header, tail uint32) {
 	}
 }
 
-// ReuseFrameBuilt attributes a constructor frame deposit.
-func (d *Detector) ReuseFrameBuilt() { d.buckets[BucketOf(len(d.stack))].FrameBuilds++ }
+// FrameBuilt attributes a constructor frame deposit.
+func (d *Detector) FrameBuilt() { d.buckets[BucketOf(len(d.stack))].FrameBuilds++ }
 
-// ReuseFrameHit attributes a frame-cache fetch.
-func (d *Detector) ReuseFrameHit() { d.buckets[BucketOf(len(d.stack))].FrameHits++ }
+// FrameHit attributes a frame-cache fetch.
+func (d *Detector) FrameHit() { d.buckets[BucketOf(len(d.stack))].FrameHits++ }
 
-// ReuseFrameRetired attributes a committed frame's optimized body.
-func (d *Detector) ReuseFrameRetired(uops int) {
+// FrameRetired attributes a committed frame's optimized body.
+func (d *Detector) FrameRetired(uops int) {
 	d.buckets[BucketOf(len(d.stack))].UOpsRetired += uint64(uops)
 }
 
-// ReuseOptRemoved attributes micro-ops removed by an optimizer pass run.
-func (d *Detector) ReuseOptRemoved(removed int) {
+// OptRemoved attributes micro-ops removed by an optimizer run.
+func (d *Detector) OptRemoved(removed int) {
 	d.buckets[BucketOf(len(d.stack))].OptRemoved += uint64(removed)
 }
 
-// ReuseEvict attributes a frame/trace-cache eviction.
-func (d *Detector) ReuseEvict() { d.buckets[BucketOf(len(d.stack))].Evictions++ }
+// Evict attributes a frame/trace-cache eviction.
+func (d *Detector) Evict() { d.buckets[BucketOf(len(d.stack))].Evictions++ }
 
 // Loops returns the detected loops in first-observed order.
 func (d *Detector) Loops() []Loop {

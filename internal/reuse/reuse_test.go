@@ -22,7 +22,7 @@ func slot(pc, next uint32, op x86.Op, uops ...uop.Op) pipeline.Slot {
 func feed(slots []pipeline.Slot) *Detector {
 	d := NewDetector()
 	for i := range slots {
-		d.ReuseSlot(&slots[i], false, len(slots[i].UOps))
+		d.Retire(&slots[i], false, len(slots[i].UOps))
 	}
 	return d
 }
@@ -273,14 +273,14 @@ func TestDetectorLoopWithCall(t *testing.T) {
 // in the bucket of the depth live when they fire.
 func TestDetectorFrameEvents(t *testing.T) {
 	d := NewDetector()
-	d.ReuseFrameBuilt() // straight-line: nothing retired yet
+	d.FrameBuilt() // straight-line: nothing retired yet
 	slots := singleLoop(4)
 	for i := range slots {
-		d.ReuseSlot(&slots[i], false, len(slots[i].UOps))
+		d.Retire(&slots[i], false, len(slots[i].UOps))
 		if slots[i].PC == 0x14 { // inside the loop body
-			d.ReuseFrameHit()
-			d.ReuseOptRemoved(2)
-			d.ReuseEvict()
+			d.FrameHit()
+			d.OptRemoved(2)
+			d.Evict()
 		}
 	}
 	b := d.Buckets()
@@ -306,7 +306,7 @@ func TestCollectorFold(t *testing.T) {
 		p := c.Attach(trace)
 		slots := singleLoop(4)
 		for i := range slots {
-			p.ReuseSlot(&slots[i], false, len(slots[i].UOps))
+			p.Retire(&slots[i], false, len(slots[i].UOps))
 		}
 		p.Close()
 		p.Close() // second Close must not double-count

@@ -68,11 +68,6 @@ func (m *cycleMetrics) render(p *stats.Prom) {
 // synthetic loop frames), and "text" collapsed flame stacks. The
 // profile exists only on jobs submitted with experiment "cycles".
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("job")
-	if id == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing job query parameter"})
-		return
-	}
 	format := r.URL.Query().Get("format")
 	switch format {
 	case "", "json", "pprof", "text":
@@ -81,26 +76,14 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 			map[string]string{"error": "unknown format; want json, pprof, or text"})
 		return
 	}
-	j, ok := s.lookup(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such job"})
-		return
-	}
-	v := j.view()
-	switch v.State {
-	case api.StateQueued, api.StateRunning:
-		writeJSON(w, http.StatusConflict,
-			map[string]string{"error": "job has not finished; profile not available yet"})
-		return
-	}
-	if v.Result == nil || v.Result.Cycles == nil {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "job has no cycle profile; submit it with experiment \"cycles\""})
+	res := s.finishedReport(w, r, "profile", "cycle profile", api.ExpCycles,
+		func(res *api.RunResponse) bool { return res.Cycles != nil })
+	if res == nil {
 		return
 	}
 	switch format {
 	case "pprof":
-		data, err := cycleprof.Profile(v.Result.Cycles.Profiles())
+		data, err := cycleprof.Profile(res.Cycles.Profiles())
 		if err != nil {
 			writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 			return
@@ -110,8 +93,8 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		w.Write(data)
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write(cycleprof.FlameText(v.Result.Cycles.Profiles()))
+		w.Write(cycleprof.FlameText(res.Cycles.Profiles()))
 	default:
-		writeJSON(w, http.StatusOK, v.Result.Cycles)
+		writeJSON(w, http.StatusOK, res.Cycles)
 	}
 }

@@ -193,29 +193,11 @@ func (s *Server) jobSpec(id string) (*api.RunRequest, error) {
 
 // handleDiffDebug serves a finished diff job's comparison report.
 func (s *Server) handleDiffDebug(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("job")
-	if id == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing job query parameter"})
-		return
+	res := s.finishedReport(w, r, "diff report", "diff report", api.ExpDiff,
+		func(res *api.RunResponse) bool { return res.Diff != nil })
+	if res != nil {
+		writeJSON(w, http.StatusOK, res.Diff)
 	}
-	j, ok := s.lookup(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such job"})
-		return
-	}
-	v := j.view()
-	switch v.State {
-	case api.StateQueued, api.StateRunning:
-		writeJSON(w, http.StatusConflict,
-			map[string]string{"error": "job has not finished; diff report not available yet"})
-		return
-	}
-	if v.Result == nil || v.Result.Diff == nil {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "job has no diff report; submit it with experiment \"diff\""})
-		return
-	}
-	writeJSON(w, http.StatusOK, v.Result.Diff)
 }
 
 // runDiffX is the diff Runner for jobs whose baseline or variant names

@@ -301,3 +301,19 @@ func TestDiffXTraceVsSyntheticClone(t *testing.T) {
 			r.SignificantImprovements, r.SignificantRegressions)
 	}
 }
+
+// TestDiffRepeatsCapped: a POST /v1/diff asking for more repeats than
+// api.MaxDiffRepeats is a 400 naming repeats, not a job that allocates
+// a result slot per repeat.
+func TestDiffRepeatsCapped(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	cell := api.RunRequest{Experiment: "cell", Workloads: []string{"gzip"}, Insts: 20_000}
+	env, status := postDiff(t, ts.URL, diffPostRequest{Base: &cell, Variant: &cell, Repeats: 1_000_000_000})
+	if status != http.StatusBadRequest || !strings.Contains(env.Error, "repeats") {
+		t.Errorf("repeats 1e9: status %d error %q, want 400 naming repeats", status, env.Error)
+	}
+}

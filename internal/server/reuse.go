@@ -111,27 +111,9 @@ func (m *reuseMetrics) render(p *stats.Prom) {
 // loop decomposition plus the ranked representative subset — as JSON.
 // The report exists only on jobs submitted with experiment "reuse".
 func (s *Server) handleReuse(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("job")
-	if id == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing job query parameter"})
-		return
+	res := s.finishedReport(w, r, "reuse report", "reuse report", api.ExpReuse,
+		func(res *api.RunResponse) bool { return res.Reuse != nil })
+	if res != nil {
+		writeJSON(w, http.StatusOK, res.Reuse)
 	}
-	j, ok := s.lookup(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such job"})
-		return
-	}
-	v := j.view()
-	switch v.State {
-	case api.StateQueued, api.StateRunning:
-		writeJSON(w, http.StatusConflict,
-			map[string]string{"error": "job has not finished; reuse report not available yet"})
-		return
-	}
-	if v.Result == nil || v.Result.Reuse == nil {
-		writeJSON(w, http.StatusNotFound,
-			map[string]string{"error": "job has no reuse report; submit it with experiment \"reuse\""})
-		return
-	}
-	writeJSON(w, http.StatusOK, v.Result.Reuse)
 }

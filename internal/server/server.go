@@ -898,6 +898,40 @@ func (s *Server) lookup(id string) (*job, bool) {
 	return j, ok
 }
 
+// finishedReport resolves the ?job= parameter of a /debug report
+// endpoint to the finished job's result, provided has finds the report
+// in it. Otherwise it writes the failure — 400 without a job parameter,
+// 404 for an unknown job, 409 while the job is queued or running, 404
+// when the finished job lacks the report — and returns nil. pending
+// names the report in the 409 message; missing names it, and
+// experiment the experiment that produces it, in the last 404.
+func (s *Server) finishedReport(w http.ResponseWriter, r *http.Request, pending, missing, experiment string,
+	has func(*api.RunResponse) bool) *api.RunResponse {
+	id := r.URL.Query().Get("job")
+	if id == "" {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "missing job query parameter"})
+		return nil
+	}
+	j, ok := s.lookup(id)
+	if !ok {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no such job"})
+		return nil
+	}
+	v := j.view()
+	switch v.State {
+	case api.StateQueued, api.StateRunning:
+		writeJSON(w, http.StatusConflict,
+			map[string]string{"error": "job has not finished; " + pending + " not available yet"})
+		return nil
+	}
+	if v.Result == nil || !has(v.Result) {
+		writeJSON(w, http.StatusNotFound, map[string]string{
+			"error": fmt.Sprintf("job has no %s; submit it with experiment %q", missing, experiment)})
+		return nil
+	}
+	return v.Result
+}
+
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.lookup(r.PathValue("id"))
 	if !ok {

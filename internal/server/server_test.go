@@ -534,3 +534,29 @@ func TestCanonicalKeyEquivalence(t *testing.T) {
 		t.Error("disable_opts ordering split the coalescing key")
 	}
 }
+
+// TestWidthOneJobCompletes: a width-1 override passes validation, and
+// used to livelock the engine on the first instruction cracking into
+// several micro-ops, parking a worker for good. The job must finish.
+func TestWidthOneJobCompletes(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	client := &http.Client{Timeout: 30 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(`{"experiment":"cell","workloads":["gzip"],"insts":20000,"config":{"width":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env jobEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || env.State != api.StateDone {
+		t.Fatalf("width-1 job: status %d state %q (%s)", resp.StatusCode, env.State, env.Error)
+	}
+}

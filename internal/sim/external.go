@@ -70,8 +70,7 @@ func runExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Opt
 		o.ConfigMod(&cfg)
 	}
 
-	useMemo := ext.Fingerprint != "" && !o.DisableCache && !o.Telemetry.RequiresExecution() &&
-		o.Reuse == nil && o.CycleProf == nil && o.Diff == nil
+	useMemo := ext.Fingerprint != "" && !o.DisableCache && !o.Telemetry.RequiresExecution() && !o.probed()
 	var key memoKey
 	if useMemo {
 		key = memoKey{profile: "xtrace:" + ext.Fingerprint, mode: mode,

@@ -135,6 +135,13 @@ type Options struct {
 	Diff *diff.Collector
 }
 
+// probed reports whether any guest-analysis collector is set: such
+// runs execute (no run-memo hits — a memoized run observes nothing) and
+// keep the serial per-trace path.
+func (o *Options) probed() bool {
+	return o.Reuse != nil || o.CycleProf != nil || o.Diff != nil
+}
+
 // Result is the aggregated outcome of one workload under one mode.
 type Result struct {
 	Workload string
@@ -188,8 +195,7 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 		o.ConfigMod(&cfg)
 	}
 
-	useMemo := !o.DisableCache && !o.Telemetry.RequiresExecution() &&
-		o.Reuse == nil && o.CycleProf == nil && o.Diff == nil
+	useMemo := !o.DisableCache && !o.Telemetry.RequiresExecution() && !o.probed()
 	var key memoKey
 	if useMemo {
 		key = memoKey{profile: profileFingerprint(&p), mode: mode,
@@ -209,8 +215,7 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 	// is bit-identical to the serial loop. Telemetry and span-traced
 	// runs keep the serial path: both attach per-engine observers whose
 	// event interleaving is part of their output.
-	if p.Traces > 1 && o.Telemetry == nil && o.Reuse == nil && o.CycleProf == nil &&
-		o.Diff == nil && span == nil {
+	if p.Traces > 1 && o.Telemetry == nil && !o.probed() && span == nil {
 		if err := runTracesParallel(ctx, &res, p, mode, cfg, o, budget, warmFrac); err != nil {
 			return res, err
 		}
@@ -384,37 +389,34 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 		run := o.Telemetry.NewRun(fmt.Sprintf("%s/%s/t%d", name, mode, t))
 		eng.SetTelemetry(o.Telemetry, run)
 	}
-	// The reuse, cycle-profiler, and diff probes attach at the same
-	// boundary, so their attribution covers exactly the measured window
-	// and their totals equal the window's Stats counters (the
-	// conservation invariant). The cycle profiler and the diff probe
-	// consume the retired stream too (their loop views ride on the same
-	// detector); when several are set, the retirement and cycle-charge
-	// feeds tee to each.
-	var rprobes []pipeline.ReuseProbe
-	var cprobes []pipeline.CycleProbe
-	if o.Reuse != nil {
-		probe := o.Reuse.Attach(t)
-		defer probe.Close()
-		rprobes = append(rprobes, probe)
-	}
-	if o.CycleProf != nil {
-		probe := o.CycleProf.Attach(t)
-		defer probe.Close()
-		rprobes = append(rprobes, probe)
-		cprobes = append(cprobes, probe)
-	}
-	if o.Diff != nil {
-		probe := o.Diff.Attach(t)
-		defer probe.Close()
-		rprobes = append(rprobes, probe)
-		cprobes = append(cprobes, probe)
-	}
-	if p := teeReuse(rprobes); p != nil {
-		eng.SetReuse(p)
-	}
-	if p := teeCycle(cprobes); p != nil {
-		eng.SetCycleProf(p)
+	// The guest-analysis probes attach at the same boundary, so their
+	// attribution covers exactly the measured window and their totals
+	// equal the window's Stats counters (the conservation invariant).
+	// One loop detector serves them all and is attached first: the
+	// cycle profiler and the diff probe read their loop context from it.
+	if o.probed() {
+		var loops *reuse.Detector
+		var probes []pipeline.Probe
+		if o.Reuse != nil {
+			p := o.Reuse.Attach(t)
+			defer p.Close()
+			loops = &p.Detector
+			probes = append(probes, p)
+		} else {
+			loops = reuse.NewDetector()
+			probes = append(probes, loops)
+		}
+		if o.CycleProf != nil {
+			p := o.CycleProf.Attach(t, loops)
+			defer p.Close()
+			probes = append(probes, p)
+		}
+		if o.Diff != nil {
+			p := o.Diff.Attach(t, loops)
+			defer p.Close()
+			probes = append(probes, p)
+		}
+		eng.Attach(probes...)
 	}
 	eng.ResetStats()
 	mctx, mspan := tracing.Start(ctx, "sim.measure")
@@ -440,99 +442,6 @@ func runStreamStats(ctx context.Context, name string, stream slotSource, cfg pip
 	}
 	eng.CloseTelemetry()
 	return eng.Stats(), nil
-}
-
-// teeReuse fans the retirement feed out to every attached probe. A
-// single probe is returned as-is (preserving its optional
-// ReusePassProbe extension through the engine's cached assertion); a
-// real tee re-exports the extension only when some child implements
-// it, so reuse-only runs never pay the optimizer's per-pass
-// measurement wrapper.
-func teeReuse(probes []pipeline.ReuseProbe) pipeline.ReuseProbe {
-	switch len(probes) {
-	case 0:
-		return nil
-	case 1:
-		return probes[0]
-	}
-	t := &reuseTee{probes: probes}
-	for _, p := range probes {
-		if pp, ok := p.(pipeline.ReusePassProbe); ok {
-			t.pass = append(t.pass, pp)
-		}
-	}
-	if len(t.pass) > 0 {
-		return reusePassTee{t}
-	}
-	return t
-}
-
-// reuseTee fans the retirement feed out to several probes attached to
-// the same engine.
-type reuseTee struct {
-	probes []pipeline.ReuseProbe
-	pass   []pipeline.ReusePassProbe
-}
-
-func (t *reuseTee) ReuseSlot(s *pipeline.Slot, fromFrame bool, uopsExecuted int) {
-	for _, p := range t.probes {
-		p.ReuseSlot(s, fromFrame, uopsExecuted)
-	}
-}
-func (t *reuseTee) ReuseFrameBuilt() {
-	for _, p := range t.probes {
-		p.ReuseFrameBuilt()
-	}
-}
-func (t *reuseTee) ReuseFrameHit() {
-	for _, p := range t.probes {
-		p.ReuseFrameHit()
-	}
-}
-func (t *reuseTee) ReuseFrameRetired(uops int) {
-	for _, p := range t.probes {
-		p.ReuseFrameRetired(uops)
-	}
-}
-func (t *reuseTee) ReuseOptRemoved(removed int) {
-	for _, p := range t.probes {
-		p.ReuseOptRemoved(removed)
-	}
-}
-func (t *reuseTee) ReuseEvict() {
-	for _, p := range t.probes {
-		p.ReuseEvict()
-	}
-}
-
-// reusePassTee is a reuseTee whose method set additionally exposes the
-// per-pass feed, used only when some child consumes it.
-type reusePassTee struct{ *reuseTee }
-
-func (t reusePassTee) ReusePass(pass string, killed, rewritten int) {
-	for _, p := range t.pass {
-		p.ReusePass(pass, killed, rewritten)
-	}
-}
-
-// teeCycle fans the cycle-charge feed out to every attached probe.
-func teeCycle(probes []pipeline.CycleProbe) pipeline.CycleProbe {
-	switch len(probes) {
-	case 0:
-		return nil
-	case 1:
-		return probes[0]
-	}
-	return cycleTee{probes: probes}
-}
-
-// cycleTee fans cycle charges out to several probes.
-type cycleTee struct{ probes []pipeline.CycleProbe }
-
-func (t cycleTee) CycleCharge(pc uint32, bin pipeline.Bin, n uint64) {
-	for _, p := range t.probes {
-		p.CycleCharge(pc, bin, n)
-	}
 }
 
 // runJob is one (workload, mode, options) simulation request. When

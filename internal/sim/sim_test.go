@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/workload"
@@ -87,5 +88,32 @@ func TestStreamEndsCleanly(t *testing.T) {
 	// less than one frame.
 	if got < 5_000 || got > 5_000+256 {
 		t.Errorf("retired %d, want ~5000", got)
+	}
+}
+
+// TestWidthOneNoLivelock: at width 1 every instruction that cracks into
+// several micro-ops still leads its own fetch group, so each mode
+// finishes well under the deadline and retires at least the measured
+// budget instead of stalling on the first multi-micro-op instruction.
+func TestWidthOneNoLivelock(t *testing.T) {
+	p, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 20_000
+	// Each trace measures its budget less the default 40% warmup.
+	measured := uint64(p.Traces * (budget - budget*4/10))
+	for _, mode := range []pipeline.Mode{pipeline.ModeICache, pipeline.ModeTraceCache,
+		pipeline.ModeRePLay, pipeline.ModeRePLayOpt} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		res, err := RunWorkload(ctx, p, mode, Options{MaxInsts: budget,
+			ConfigMod: func(c *pipeline.Config) { c.Width = 1 }})
+		cancel()
+		if err != nil {
+			t.Fatalf("%s at width 1: %v", mode, err)
+		}
+		if res.Stats.X86Retired < measured {
+			t.Errorf("%s at width 1: retired %d, want >= %d", mode, res.Stats.X86Retired, measured)
+		}
 	}
 }
