@@ -7,6 +7,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -59,7 +60,8 @@ var Experiments = []string{ExpFig6, ExpFig7, ExpFig8, ExpFig9, ExpFig10, ExpTabl
 
 // ConfigOverrides carries the per-request Table 2 edits the service
 // accepts. Zero fields keep the mode's default; the names mirror
-// pipeline.Config.
+// pipeline.Config, and Validate holds the result to that config's
+// bounds (pipeline.Config.Validate).
 type ConfigOverrides struct {
 	// OptScope: "block", "inter" or "frame".
 	OptScope string `json:"opt_scope,omitempty"`
@@ -284,6 +286,9 @@ func (r RunRequest) Validate() error {
 	if c.WarmupFrac < 0 || c.WarmupFrac >= 1 {
 		return fmt.Errorf("warmup_frac %g outside [0,1)", c.WarmupFrac)
 	}
+	if c.Insts < 0 {
+		return fmt.Errorf("insts %d is negative (0 keeps the profile's budget)", c.Insts)
+	}
 	if err := validateConfig(c.Config); err != nil {
 		return err
 	}
@@ -340,17 +345,23 @@ func validateConfig(c *ConfigOverrides) error {
 			return fmt.Errorf("%s %d is negative (0 keeps the default)", f.name, f.v)
 		}
 	}
-	// The window must hold a full fetch group, or the engine's window
-	// stall can never drain.
+	// The engine's own bounds, reported under the wire names: sizes
+	// that would allocate without limit, and a window that cannot hold
+	// a fetch group (its window stall could never drain).
 	cfg := pipeline.DefaultConfig(pipeline.ModeRePLayOpt)
 	c.Mod()(&cfg)
-	if cfg.WindowSize < cfg.Width {
-		if c.WindowSize > 0 {
-			return fmt.Errorf("window_size %d is smaller than width %d", cfg.WindowSize, cfg.Width)
-		}
-		return fmt.Errorf("width %d exceeds window_size %d", cfg.Width, cfg.WindowSize)
+	var ce *pipeline.ConfigError
+	if errors.As(cfg.Validate(), &ce) {
+		return fmt.Errorf("%s %d outside [%d, %d]", wireFields[ce.Field], ce.Value, ce.Lo, ce.Hi)
 	}
 	return nil
+}
+
+// wireFields maps the pipeline.Config fields the overrides set to their
+// wire names; the defaults of every other field are valid.
+var wireFields = map[string]string{
+	"Width": "width", "WindowSize": "window_size", "FrameCacheUOps": "frame_cache_uops",
+	"FrameCfg.MaxUOps": "max_frame_uops", "OptCyclesPerUOp": "opt_cycles_per_uop", "OptPipeDepth": "opt_pipe_depth",
 }
 
 // ParseDiffSpec parses the compact variant notation the CLIs accept

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
 // TestValidateConfigRanges: numeric overrides are range-checked and the
@@ -33,6 +35,42 @@ func TestValidateConfigRanges(t *testing.T) {
 			t.Errorf("%+v: accepted, want an error naming %s", tc.req, tc.field)
 		case tc.field != "" && !strings.Contains(err.Error(), tc.field):
 			t.Errorf("%+v: error %q does not name %s", tc.req, err, tc.field)
+		}
+	}
+}
+
+// TestValidateConfigBounds: every numeric override is bounded above by
+// the engine's limits (inclusive), and a negative insts is rejected.
+func TestValidateConfigBounds(t *testing.T) {
+	cfg := func(c ConfigOverrides) RunRequest { return RunRequest{Experiment: "fig6", Config: &c} }
+	for _, tc := range []struct {
+		req   RunRequest
+		field string // "" = valid
+	}{
+		{cfg(ConfigOverrides{Width: pipeline.MaxWidth}), ""},
+		{cfg(ConfigOverrides{Width: pipeline.MaxWidth + 1}), "width"},
+		{cfg(ConfigOverrides{WindowSize: pipeline.MaxWindowSize}), ""},
+		{cfg(ConfigOverrides{WindowSize: pipeline.MaxWindowSize + 1}), "window_size"},
+		{cfg(ConfigOverrides{FrameCacheUOps: pipeline.MaxFrameCacheUOps}), ""},
+		{cfg(ConfigOverrides{FrameCacheUOps: pipeline.MaxFrameCacheUOps + 1}), "frame_cache_uops"},
+		{cfg(ConfigOverrides{MaxFrameUOps: pipeline.MaxFrameUOps}), ""},
+		{cfg(ConfigOverrides{MaxFrameUOps: pipeline.MaxFrameUOps + 1}), "max_frame_uops"},
+		{cfg(ConfigOverrides{OptCyclesPerUOp: pipeline.MaxOptCyclesPerUOp}), ""},
+		{cfg(ConfigOverrides{OptCyclesPerUOp: pipeline.MaxOptCyclesPerUOp + 1}), "opt_cycles_per_uop"},
+		{cfg(ConfigOverrides{OptPipeDepth: pipeline.MaxOptPipeDepth}), ""},
+		{cfg(ConfigOverrides{OptPipeDepth: 1_000_000_000}), "opt_pipe_depth"},
+		{RunRequest{Experiment: "diff", Diff: &DiffSpec{Config: &ConfigOverrides{OptPipeDepth: 1 << 24}}}, "opt_pipe_depth"},
+		{RunRequest{Experiment: "fig6", Insts: -1}, "insts"},
+		{RunRequest{Experiment: "fig6", Insts: 20_000}, ""},
+	} {
+		err := tc.req.Validate()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%+v: unexpected error %v", tc.req.Config, err)
+		case tc.field != "" && err == nil:
+			t.Errorf("%+v: accepted, want an error naming %s", tc.req.Config, tc.field)
+		case tc.field != "" && !strings.Contains(err.Error(), tc.field):
+			t.Errorf("%+v: error %q does not name %s", tc.req.Config, err, tc.field)
 		}
 	}
 }

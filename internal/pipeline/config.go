@@ -12,6 +12,8 @@
 package pipeline
 
 import (
+	"fmt"
+
 	"repro/internal/frame"
 	"repro/internal/opt"
 )
@@ -136,6 +138,56 @@ func DefaultConfig(mode Mode) Config {
 		cfg.ICacheBytes = 64 << 10
 	}
 	return cfg
+}
+
+// Upper bounds Config.Validate enforces, far above the Table 2 values.
+// Each sizes an allocation or a per-fetch scan directly, so an
+// unbounded override could ask for gigabytes or stall every fetch.
+const (
+	MaxWidth           = 64
+	MaxWindowSize      = 8192
+	MaxFrameCacheUOps  = 1 << 20
+	MaxOptCyclesPerUOp = 1 << 16
+	MaxOptPipeDepth    = 64
+	// MaxFrameUOps also bounds how far a run consumes past its
+	// instruction budget (a frame of overshoot at the warmup boundary
+	// and one at the end), which recorded streams cover with their
+	// slack (sim.ReplaySlack).
+	MaxFrameUOps = 1024
+)
+
+// ConfigError reports a Config field outside the range Validate allows.
+type ConfigError struct {
+	Field         string // Go field path, e.g. "FrameCfg.MaxUOps"
+	Value, Lo, Hi int
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("%s %d outside [%d, %d]", e.Field, e.Value, e.Lo, e.Hi)
+}
+
+// Validate reports the first numeric field that would make the engine
+// misbehave: a structure sized zero or absurdly large, or a scheduling
+// window that cannot hold a fetch group. The error is a *ConfigError.
+func (c *Config) Validate() error {
+	for _, f := range []ConfigError{
+		{"Width", c.Width, 1, MaxWidth},
+		{"DecodeWidth", c.DecodeWidth, 1, MaxWidth},
+		{"WindowSize", c.WindowSize, c.Width, MaxWindowSize},
+		{"SimpleALUs", c.SimpleALUs, 1, MaxWidth},
+		{"ComplexALUs", c.ComplexALUs, 1, MaxWidth},
+		{"LSUs", c.LSUs, 1, MaxWidth},
+		{"FrameCacheUOps", c.FrameCacheUOps, 1, MaxFrameCacheUOps},
+		{"FrameCfg.MaxUOps", c.FrameCfg.MaxUOps, 1, MaxFrameUOps},
+		{"OptCyclesPerUOp", c.OptCyclesPerUOp, 0, MaxOptCyclesPerUOp},
+		{"OptPipeDepth", c.OptPipeDepth, 1, MaxOptPipeDepth},
+	} {
+		if f.Value < f.Lo || f.Value > f.Hi {
+			bad := f
+			return &bad
+		}
+	}
+	return nil
 }
 
 // Bin classifies a fetch-stage cycle (Figures 7 and 8), in the paper's

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/frame"
@@ -31,11 +32,21 @@ type Slot struct {
 // Taken reports whether the instruction redirected control flow.
 func (s *Slot) Taken() bool { return s.NextPC != s.PC+uint32(s.Inst.Len) }
 
-// Stream supplies the correct-path instruction stream.
+// Stream supplies the correct-path instruction stream in batches.
 type Stream interface {
-	// Next returns the next retired instruction, or ok=false at the end.
-	Next() (Slot, bool)
+	// Fill writes the next retired instructions into dst, in order, and
+	// returns how many it wrote; 0 means the stream has ended. A stream
+	// may return fewer than len(dst) before its end. The engine reads
+	// ahead of what it retires, so a stream that can fail reports its
+	// error only once a Fill has returned 0: a failure past the point
+	// the engine stopped consuming is not one the run reached.
+	Fill(dst []Slot) int
 }
+
+// windowSlots is the engine's correct-path window: how many slots one
+// Fill may deliver. It only trades refill calls against read-ahead; no
+// modelled structure depends on it.
+const windowSlots = 512
 
 // Engine is the cycle-level timing model.
 type Engine struct {
@@ -43,12 +54,14 @@ type Engine struct {
 	mode Mode
 	src  Stream
 
-	// Stream lookahead and assertion-replay pushback, kept as a
-	// head-indexed deque: consumption advances pendingLo instead of
-	// re-slicing, so the backing array is reused instead of reallocated
-	// every few fetch groups.
-	pending   []Slot
-	pendingLo int
+	// Correct-path window, read in place: win[cur:] are filled but not
+	// yet consumed. It is refilled only once drained. A frame fetch pins
+	// its consumed slots from pin on, so a refill slides them to the
+	// front instead of dropping them, and recovery rewinds cur to them;
+	// pin is -1 when nothing is pinned.
+	win []Slot
+	cur int
+	pin int
 
 	cycle uint64
 	stats Stats
@@ -115,9 +128,6 @@ type Engine struct {
 	// disabled cost at each probe call site and at the profAt
 	// attribution points is one nil check.
 	probe Probe
-	// probed is the engine-owned copy the decoded paths hand the probe
-	// (see probeSlot).
-	probed Slot
 	// profPC is the guest PC the next charged fetch cycles are
 	// attributed to; maintained (via profAt) only while a probe is
 	// attached.
@@ -128,9 +138,8 @@ type Engine struct {
 	passRec opt.TimedPassRecorder
 
 	// fetchFrame scratch, reused across fetches (the engine is
-	// single-goroutine, and everything that outlives a fetch — pushback,
-	// RetireFrame — copies out of these buffers before returning).
-	scratchSlots []Slot
+	// single-goroutine, and RetireFrame copies out of these buffers
+	// before returning).
 	scratchVals  []uint64
 	scratchAddrs []uint32
 	// activeSrc is the frame being fetched right now; cache-eviction
@@ -167,6 +176,8 @@ func New(cfg Config, mode Mode, src Stream) *Engine {
 		cfg:        cfg,
 		mode:       mode,
 		src:        src,
+		win:        make([]Slot, 0, windowSlots),
+		pin:        -1,
 		icache:     cache.New(cfg.ICacheBytes, cfg.LineBytes, 2),
 		l1d:        cache.New(cfg.L1DBytes, cfg.LineBytes, 4),
 		l2:         cache.New(cfg.L2Bytes, cfg.LineBytes, 8),
@@ -239,59 +250,38 @@ func (e *Engine) ResetStats() {
 	e.base = e.snapshotStats()
 }
 
-// next consumes the next correct-path instruction.
-func (e *Engine) next() (Slot, bool) {
-	if e.pendingLo < len(e.pending) {
-		s := e.pending[e.pendingLo]
-		e.pendingLo++
-		if e.pendingLo == len(e.pending) {
-			// Drained: rewind so the backing array is reused.
-			e.pending = e.pending[:0]
-			e.pendingLo = 0
-		}
-		return s, true
+// peek returns the next correct-path instruction without consuming it,
+// or nil at the end of the stream. The slot lives in the window: it
+// stays valid until the next peek that refills.
+func (e *Engine) peek() *Slot {
+	if e.cur < len(e.win) {
+		return &e.win[e.cur]
 	}
-	return e.src.Next()
+	return e.refill()
 }
 
-// peek returns the next instruction without consuming it.
-func (e *Engine) peek() (Slot, bool) {
-	if e.pendingLo < len(e.pending) {
-		return e.pending[e.pendingLo], true
-	}
-	s, ok := e.src.Next()
-	if !ok {
-		return Slot{}, false
-	}
-	e.pending = append(e.pending, s)
-	return s, true
-}
+// next consumes the instruction peek returned.
+func (e *Engine) next() { e.cur++ }
 
-// pushback re-queues slots for re-execution (assertion recovery). The
-// slots are copied, so callers may reuse their buffer afterwards.
-func (e *Engine) pushback(slots []Slot) {
-	if len(slots) == 0 {
-		return
+// refill refills the drained window from the stream, keeping the
+// pinned slots at its front, and returns the next slot or nil.
+func (e *Engine) refill() *Slot {
+	keep := e.cur
+	if e.pin >= 0 {
+		keep, e.pin = e.pin, 0
 	}
-	if e.pendingLo >= len(slots) {
-		// Room in the consumed prefix: slide the slots back in place.
-		e.pendingLo -= len(slots)
-		copy(e.pending[e.pendingLo:], slots)
-		return
+	n := copy(e.win[:cap(e.win)], e.win[keep:e.cur])
+	if n == cap(e.win) {
+		// A frame longer than the window pinned all of it.
+		e.win = slices.Grow(e.win[:n], windowSlots)
 	}
-	rest := len(e.pending) - e.pendingLo
-	need := len(slots) + rest
-	if cap(e.pending) < need {
-		np := make([]Slot, need, need+2*len(slots))
-		copy(np, slots)
-		copy(np[len(slots):], e.pending[e.pendingLo:])
-		e.pending, e.pendingLo = np, 0
-		return
+	e.cur = n
+	got := e.src.Fill(e.win[n:cap(e.win)])
+	e.win = e.win[:n+got]
+	if got == 0 {
+		return nil
 	}
-	e.pending = e.pending[:need]
-	copy(e.pending[len(slots):], e.pending[e.pendingLo:e.pendingLo+rest])
-	copy(e.pending, slots)
-	e.pendingLo = 0
+	return &e.win[n]
 }
 
 // stallUntil advances the clock to t, charging the idle fetch cycles to
@@ -355,17 +345,16 @@ func (e *Engine) windowStall() {
 // fu selects the earliest-available unit of the class and books it at
 // issueAt (one issue slot per cycle, pipelined execution).
 func fuPick(units []uint64, ready uint64) (int, uint64) {
-	best := 0
+	best, free := 0, units[0]
 	for i := 1; i < len(units); i++ {
-		if units[i] < units[best] {
-			best = i
+		if u := units[i]; u < free {
+			best, free = i, u
 		}
 	}
-	issue := ready
-	if units[best] > issue {
-		issue = units[best]
+	if free > ready {
+		ready = free
 	}
-	return best, issue
+	return best, ready
 }
 
 func classUnits(e *Engine, op uop.Op) []uint64 {
@@ -469,7 +458,9 @@ func (e *Engine) dispatch(op uop.Op, ready uint64, fetchAt uint64, memAddr uint3
 		retireAt = w
 	}
 	e.retireRing[e.ringPos] = retireAt
-	e.ringPos = (e.ringPos + 1) % e.cfg.Width
+	if e.ringPos++; e.ringPos == len(e.retireRing) {
+		e.ringPos = 0
+	}
 	e.lastRetire = retireAt
 	e.inflight = append(e.inflight, retireAt)
 	if e.tel != nil {
@@ -532,14 +523,6 @@ func (e *Engine) retireSlot(s *Slot, fromFrame bool, uopsExecuted, loadsExecuted
 	}
 }
 
-// probeSlot hands a decoded-path slot to the probe through an
-// engine-owned copy: passing &s itself would move every fetch loop's
-// slot to the heap, probe attached or not.
-func (e *Engine) probeSlot(s Slot, fromFrame bool, uopsExecuted int) {
-	e.probed = s
-	e.probe.Retire(&e.probed, fromFrame, uopsExecuted)
-}
-
 // feedConstructor offers a retired instruction to the frame constructor.
 func (e *Engine) feedConstructor(s *Slot) {
 	if e.cons != nil {
@@ -583,10 +566,11 @@ func (e *Engine) RunContext(ctx context.Context, maxInsts uint64) (uint64, error
 				return e.stats.X86Retired - start, err
 			}
 		}
-		s, ok := e.peek()
-		if !ok {
+		s := e.peek()
+		if s == nil {
 			break
 		}
+		pc := s.PC
 		// Drain optimizer completions whose latency has elapsed.
 		e.drainOptimizer()
 		e.evictStaleStores()
@@ -599,13 +583,13 @@ func (e *Engine) RunContext(ctx context.Context, maxInsts uint64) (uint64, error
 				e.recoverSlots -= int(e.stats.X86Retired - before)
 				continue
 			}
-			if of, hit := e.frames.Lookup(s.PC); hit {
+			if of, hit := e.frames.Lookup(pc); hit {
 				e.fetchFrame(of)
 				continue
 			}
 			e.fetchICache()
 		case e.traces != nil:
-			if tr, hit := e.traces.Lookup(s.PC); hit {
+			if tr, hit := e.traces.Lookup(pc); hit {
 				e.fetchTraceEntry(tr)
 				continue
 			}
@@ -633,15 +617,15 @@ func (e *Engine) fetchICache() {
 	// miss, and fetch cycles; mispredict recovery is re-attributed to
 	// the branch by handleControl.
 	if e.probe != nil {
-		if s, ok := e.peek(); ok {
+		if s := e.peek(); s != nil {
 			e.profPC = s.PC
 		}
 	}
 	e.switchTo(srcIC)
 	e.windowStall()
 
-	s, ok := e.peek()
-	if !ok {
+	s := e.peek()
+	if s == nil {
 		return
 	}
 	// Instruction cache access for this fetch group.
@@ -660,8 +644,8 @@ func (e *Engine) fetchICache() {
 	uopsLeft := e.cfg.Width
 	first := true
 	for instsLeft > 0 {
-		s, ok := e.peek()
-		if !ok {
+		s := e.peek()
+		if s == nil {
 			return
 		}
 		// The group always takes its leading instruction, even one that
@@ -698,14 +682,14 @@ func (e *Engine) fetchICache() {
 				loads++
 			}
 		}
-		e.retireSlot(&s, false, len(s.UOps), loads)
+		e.retireSlot(s, false, len(s.UOps), loads)
 		if e.probe != nil {
-			e.probeSlot(s, false, len(s.UOps))
+			e.probe.Retire(s, false, len(s.UOps))
 		}
-		e.feedConstructor(&s)
+		e.feedConstructor(s)
 
 		// Control-flow handling.
-		if stop := e.handleControl(&s, brDone); stop {
+		if stop := e.handleControl(s, brDone); stop {
 			return
 		}
 	}

@@ -8,19 +8,21 @@ import (
 	"repro/internal/x86"
 )
 
-// sliceStream serves a precomputed slot sequence.
+// sliceStream serves a precomputed slot sequence, at most batch slots
+// per Fill when batch > 0.
 type sliceStream struct {
 	slots []Slot
 	pos   int
+	batch int
 }
 
-func (s *sliceStream) Next() (Slot, bool) {
-	if s.pos >= len(s.slots) {
-		return Slot{}, false
+func (s *sliceStream) Fill(dst []Slot) int {
+	if s.batch > 0 && len(dst) > s.batch {
+		dst = dst[:s.batch]
 	}
-	sl := s.slots[s.pos]
-	s.pos++
-	return sl, true
+	n := copy(dst, s.slots[s.pos:])
+	s.pos += n
+	return n
 }
 
 // slotFor builds a consistent Slot for an instruction at pc with the
@@ -274,5 +276,58 @@ func TestStatsReset(t *testing.T) {
 func TestSlotLayout(t *testing.T) {
 	if n := unsafe.Sizeof(Slot{}); n > 40 {
 		t.Fatalf("Slot is %d bytes, want <= 40", n)
+	}
+}
+
+// TestFillBatchInvariance: the Stats do not depend on how many slots
+// each Fill delivers. The contrary branch every 17th iteration makes
+// frames abort in both rePLay modes, so recovery rewinds the window;
+// with 1-slot fills a frame's pinned slots cross a refill on every
+// fetch. In the long-frame case RP frames pin more slots than the
+// window holds, so the window must grow. A stream that ends inside a
+// frame's path rewinds too: every slot must still retire.
+func TestFillBatchInvariance(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		iters, flip   int
+		maxFrameUOps  int
+		cut           int // slots dropped from the end, mid-iteration
+		aborts, grows bool
+	}{
+		{name: "aborting", iters: 600, flip: 17, aborts: true},
+		{name: "long frames", iters: 2000, maxFrameUOps: 4096, grows: true},
+		{name: "ends mid-frame", iters: 400, cut: 5},
+	} {
+		for _, mode := range []Mode{ModeICache, ModeTraceCache, ModeRePLay, ModeRePLayOpt} {
+			replay := mode == ModeRePLay || mode == ModeRePLayOpt
+			var want Stats
+			for _, batch := range []int{0, 1, 7} {
+				src := loopStream(t, tc.iters, tc.flip)
+				src.slots = src.slots[:len(src.slots)-tc.cut]
+				src.batch = batch
+				cfg := DefaultConfig(mode)
+				if tc.maxFrameUOps > 0 {
+					cfg.FrameCfg.MaxUOps = tc.maxFrameUOps
+				}
+				eng := New(cfg, mode, src)
+				if got := eng.Run(1 << 20); got != uint64(len(src.slots)) {
+					t.Fatalf("%s/%s batch %d: retired %d of %d", tc.name, mode, batch, got, len(src.slots))
+				}
+				got := eng.Stats()
+				if batch == 0 {
+					want = got
+					if tc.aborts && replay && got.FrameAborts == 0 {
+						t.Fatalf("%s/%s: no frame aborted; the rewind path is untested", tc.name, mode)
+					}
+					if tc.grows && mode == ModeRePLay && cap(eng.win) <= windowSlots {
+						t.Fatalf("%s/%s: the window never grew; the long-frame path is untested", tc.name, mode)
+					}
+					continue
+				}
+				if got != want {
+					t.Errorf("%s/%s: %d-slot fills give different Stats:\n got  %+v\n want %+v", tc.name, mode, batch, got, want)
+				}
+			}
+		}
 	}
 }

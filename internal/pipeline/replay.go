@@ -167,27 +167,28 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 	e.activeSrc = src
 	defer func() { e.activeSrc = nil }()
 
-	// Consume correct-path slots along the frame's construction path.
-	// The slot buffer is fetch-local scratch: pushback copies out of it,
-	// and nothing else retains it past the fetch.
-	consumed := e.scratchSlots[:0]
-	defer func() { e.scratchSlots = consumed[:0] }()
+	// Consume correct-path slots along the frame's construction path,
+	// pinned in the window: consumed is read in place, and recovery
+	// rewinds the cursor to its start.
+	e.pin = e.cur
 	diverged := false
 	for k := 0; k < src.NumX86; k++ {
-		s, ok := e.peek()
-		if !ok || s.PC != src.PCs[k] {
+		s := e.peek()
+		if s == nil || s.PC != src.PCs[k] {
 			break
 		}
 		e.next()
-		consumed = append(consumed, s)
 		if s.NextPC != src.NextPCs[k] {
 			diverged = true
 			break
 		}
 	}
+	start := e.pin // a refill may have slid the pinned slots to the front
+	e.pin = -1
+	consumed := e.win[start:e.cur]
 	if !diverged && len(consumed) < src.NumX86 {
 		// Stream ended (or path mismatch) mid-frame: re-execute decoded.
-		e.pushback(consumed)
+		e.cur = start
 		e.fetchICache()
 		return
 	}
@@ -336,7 +337,7 @@ func (e *Engine) fetchFrame(of *opt.OptFrame) {
 			e.growCap[src.StartPC] = cap
 		}
 		e.archReady = savedArch
-		e.pushback(consumed)
+		e.cur = start
 		e.recoverSlots = len(consumed)
 		e.tel.FrameFetch(e.telRun, fetchStart, e.cycle, src.ID, src.StartPC, fetched, false)
 		return

@@ -453,6 +453,37 @@ func TestWindowSizeOneRejected(t *testing.T) {
 	}
 }
 
+// TestConfigBoundsRejected: numeric overrides that size engine
+// structures are bounded (an opt_pipe_depth of 1e9 would have the
+// engine allocate 8 GB), and a negative budget is not silently
+// ignored: each is a 400 naming the field before anything runs.
+func TestConfigBoundsRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct{ body, field string }{
+		{`{"experiment":"cell","workloads":["gzip"],"insts":2000,"config":{"opt_pipe_depth":1000000000}}`, "opt_pipe_depth"},
+		{`{"experiment":"cell","workloads":["gzip"],"insts":2000,"config":{"max_frame_uops":100000}}`, "max_frame_uops"},
+		{`{"experiment":"cell","workloads":["gzip"],"insts":-5}`, "insts"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env jobEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(env.Error, tc.field) {
+			t.Errorf("%s: status %d error %q, want a 400 naming %s", tc.body, resp.StatusCode, env.Error, tc.field)
+		}
+	}
+}
+
 // TestShutdownDrains: draining rejects new work, lets running jobs
 // finish, and flips /healthz to 503.
 func TestShutdownDrains(t *testing.T) {

@@ -19,11 +19,16 @@ import (
 // replayed runs are bit-identical to interpreted ones.
 
 // captureSlack is how many slots beyond the instruction budget a capture
-// records. The engine consumes past the budget by at most one frame of
-// retirement overshoot (<= MaxUOps x86 instructions) plus one frame of
-// lookahead, so a couple thousand slots of slack guarantees a replayed
-// engine never sees a premature end-of-stream.
+// records. The engine consumes past the budget by less than two frames
+// of retirement overshoot (one at the warmup boundary, one at the end,
+// each under pipeline.MaxFrameUOps x86 instructions), so a replayed
+// engine never consumes up to a premature end of stream; the conversion
+// below fails to compile if the slack stops covering that. The window
+// reads further ahead, but a replay reports exhaustion only once
+// consumption reaches it.
 const captureSlack = 2048
+
+const _ = uint(captureSlack - 2*pipeline.MaxFrameUOps)
 
 // slotSource is a correct-path stream that can report a deferred
 // interpreter error once the run is over.
@@ -32,8 +37,15 @@ type slotSource interface {
 	Err() error
 }
 
-// Err surfaces an interpreter failure after a live run.
-func (s *cpuStream) Err() error { return s.err }
+// Err surfaces an interpreter failure after a live run, once the engine
+// has consumed up to it (a Fill returned 0); a failure the read-ahead
+// met past the point the run stopped is not reported.
+func (s *cpuStream) Err() error {
+	if !s.ended {
+		return nil
+	}
+	return s.err
+}
 
 // recordedStream is one captured retired-slot stream, stored columnar:
 // per retired instruction only the PC, the successor PC and the memory
@@ -52,19 +64,6 @@ type recordedStream struct {
 	atEnd    bool                   // the program genuinely ended (vs the capture bound)
 }
 
-func (rec *recordedStream) len() int { return len(rec.pcs) }
-
-// slot materializes retired slot i. MemAddrs aliases the shared backing
-// array (capacity-clipped); the engine only reads it.
-func (rec *recordedStream) slot(i int) pipeline.Slot {
-	pc := rec.pcs[i]
-	var addrs []uint32
-	if lo, hi := rec.memOff[i], rec.memOff[i+1]; hi > lo {
-		addrs = rec.memAddrs[lo:hi:hi]
-	}
-	return pipeline.Slot{StaticInst: rec.static.Cached(pc), NextPC: rec.nextPCs[i], MemAddrs: addrs}
-}
-
 // errCaptureExhausted reports a replay that consumed the whole recording
 // without the underlying program having ended — a would-be silent
 // divergence from a live run, turned into a loud failure.
@@ -78,14 +77,26 @@ type replayStream struct {
 	exhausted bool
 }
 
-func (r *replayStream) Next() (pipeline.Slot, bool) {
-	if r.pos >= r.rec.len() {
+// Fill materializes the next recorded slots straight from the columns.
+// MemAddrs alias the shared backing array (capacity-clipped); the
+// engine only reads them.
+func (r *replayStream) Fill(dst []pipeline.Slot) int {
+	rec := r.rec
+	n := min(len(dst), len(rec.pcs)-r.pos)
+	if n <= 0 {
 		r.exhausted = true
-		return pipeline.Slot{}, false
+		return 0
 	}
-	s := r.rec.slot(r.pos)
-	r.pos++
-	return s, true
+	for i := range dst[:n] {
+		j := r.pos + i
+		var addrs []uint32
+		if lo, hi := rec.memOff[j], rec.memOff[j+1]; hi > lo {
+			addrs = rec.memAddrs[lo:hi:hi]
+		}
+		dst[i] = pipeline.Slot{StaticInst: rec.static.Cached(rec.pcs[j]), NextPC: rec.nextPCs[j], MemAddrs: addrs}
+	}
+	r.pos += n
+	return n
 }
 
 func (r *replayStream) Err() error {
@@ -114,9 +125,9 @@ func captureRecorded(prog *workload.Program, max int) *recordedStream {
 		memOff:  make([]uint32, 1, max+1),
 		static:  src.static,
 	}
+	var s pipeline.Slot
 	for len(rec.pcs) < max {
-		s, ok := src.Next()
-		if !ok {
+		if !src.step(&s) {
 			rec.atEnd = true
 			rec.err = src.err
 			return rec
@@ -312,12 +323,10 @@ type sliceStream struct {
 // pipeline.New.
 func NewSlotStream(slots []pipeline.Slot) pipeline.Stream { return &sliceStream{slots: slots} }
 
-func (s *sliceStream) Next() (pipeline.Slot, bool) {
-	if s.pos >= len(s.slots) {
-		return pipeline.Slot{}, false
-	}
-	s.pos++
-	return s.slots[s.pos-1], true
+func (s *sliceStream) Fill(dst []pipeline.Slot) int {
+	n := copy(dst, s.slots[s.pos:])
+	s.pos += n
+	return n
 }
 
 // Err is always nil: a slice has no interpreter behind it to fail.

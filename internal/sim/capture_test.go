@@ -154,13 +154,10 @@ func TestSlotStreamDumpReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := captureRecorded(prog, insts+ReplaySlack)
-	if len(slots) != rec.len() {
-		t.Fatalf("reloaded %d slots, captured %d", len(slots), rec.len())
+	if len(slots) != len(rec.pcs) {
+		t.Fatalf("reloaded %d slots, captured %d", len(slots), len(rec.pcs))
 	}
-	captured := make([]pipeline.Slot, rec.len())
-	for i := range captured {
-		captured[i] = rec.slot(i)
-	}
+	captured := drain(&replayStream{rec: rec}, len(rec.pcs))
 	for i := range slots {
 		if !reflect.DeepEqual(slots[i], captured[i]) {
 			t.Fatalf("slot %d differs after dump/reload:\n got %+v\nwant %+v", i, slots[i], captured[i])

@@ -19,7 +19,7 @@ import (
 	"repro/internal/workload"
 )
 
-var updateDigests = flag.Bool("update", false, "rewrite testdata/analysis_digests.json from the current code")
+var updateDigests = flag.Bool("update", false, "rewrite the golden digest files under testdata from the current code")
 
 const (
 	digestFile   = "testdata/analysis_digests.json"
@@ -97,21 +97,28 @@ func goldenDigests(t *testing.T) {
 		got["diff/"+r.Workload] = digestOf(t, r)
 	}
 
+	checkGolden(t, digestFile, got)
+}
+
+// checkGolden compares digests against a golden file, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, file string, got map[string]string) {
+	t.Helper()
 	enc, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc = append(enc, '\n')
 	if *updateDigests {
-		if err := os.MkdirAll(filepath.Dir(digestFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(digestFile, enc, 0o644); err != nil {
+		if err := os.WriteFile(file, enc, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(digestFile)
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
@@ -120,7 +127,7 @@ func goldenDigests(t *testing.T) {
 	}
 	var want map[string]string
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", digestFile, err)
+		t.Fatalf("%s: %v", file, err)
 	}
 	for k, d := range got {
 		if want[k] != d {

@@ -69,6 +69,9 @@ func runExternal(ctx context.Context, ext ExternalRun, mode pipeline.Mode, o Opt
 	if o.ConfigMod != nil {
 		o.ConfigMod(&cfg)
 	}
+	if err := cfg.Validate(); err != nil {
+		return res, fmt.Errorf("sim: external trace %q: %w", ext.Name, err)
+	}
 
 	useMemo := ext.Fingerprint != "" && !o.DisableCache && !o.Telemetry.RequiresExecution() && !o.probed()
 	var key memoKey

@@ -41,6 +41,7 @@ type cpuStream struct {
 	static *translate.StaticTable
 	addrs  []uint32 // current arena chunk for slot MemAddrs
 	err    error
+	ended  bool // a Fill has returned 0
 }
 
 func newCPUStream(prog *workload.Program) *cpuStream {
@@ -48,18 +49,32 @@ func newCPUStream(prog *workload.Program) *cpuStream {
 	return &cpuStream{c: c, static: c.Decoder.(*translate.StaticTable)}
 }
 
-// Next retires one instruction on the reference machine.
-func (s *cpuStream) Next() (pipeline.Slot, bool) {
+// Fill retires up to len(dst) instructions on the reference machine.
+func (s *cpuStream) Fill(dst []pipeline.Slot) int {
+	for i := range dst {
+		if !s.step(&dst[i]) {
+			if i == 0 {
+				s.ended = true
+			}
+			return i
+		}
+	}
+	return len(dst)
+}
+
+// step retires one instruction into *dst; false at the end of the
+// program or on an interpreter error (kept in s.err).
+func (s *cpuStream) step(dst *pipeline.Slot) bool {
 	if s.c.Halted || s.err != nil {
-		return pipeline.Slot{}, false
+		return false
 	}
 	st, err := s.static.Lookup(s.c.PC)
 	if err != nil {
 		s.err = err
-		return pipeline.Slot{}, false
+		return false
 	}
 	if st.Inst.Op == x86.OpHLT {
-		return pipeline.Slot{}, false
+		return false
 	}
 	if cap(s.addrs)-len(s.addrs) < maxSlotMemOps {
 		s.addrs = make([]uint32, 0, addrChunk)
@@ -68,7 +83,7 @@ func (s *cpuStream) Next() (pipeline.Slot, bool) {
 	grown, nextPC, err := s.c.StepInst(&st.Inst, s.addrs)
 	if err != nil {
 		s.err = err
-		return pipeline.Slot{}, false
+		return false
 	}
 	s.addrs = grown
 	// nil (not empty) when the instruction touches no memory, so slots
@@ -79,7 +94,8 @@ func (s *cpuStream) Next() (pipeline.Slot, bool) {
 	if n := len(grown); n > base {
 		addrs = grown[base:n:n]
 	}
-	return pipeline.Slot{StaticInst: st, NextPC: nextPC, MemAddrs: addrs}, true
+	*dst = pipeline.Slot{StaticInst: st, NextPC: nextPC, MemAddrs: addrs}
+	return true
 }
 
 // Options configures a run beyond the processor mode.
@@ -193,6 +209,9 @@ func runWorkload(ctx context.Context, p workload.Profile, mode pipeline.Mode, o 
 	cfg := pipeline.DefaultConfig(mode)
 	if o.ConfigMod != nil {
 		o.ConfigMod(&cfg)
+	}
+	if err := cfg.Validate(); err != nil {
+		return res, fmt.Errorf("sim %s: %w", p.Name, err)
 	}
 
 	useMemo := !o.DisableCache && !o.Telemetry.RequiresExecution() && !o.probed()

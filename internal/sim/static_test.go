@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -15,15 +16,16 @@ import (
 
 // drain pulls up to n slots from src.
 func drain(src pipeline.Stream, n int) []pipeline.Slot {
-	var out []pipeline.Slot
-	for len(out) < n {
-		s, ok := src.Next()
-		if !ok {
+	out := make([]pipeline.Slot, n)
+	got := 0
+	for got < n {
+		m := src.Fill(out[got:])
+		if m == 0 {
 			break
 		}
-		out = append(out, s)
+		got += m
 	}
-	return out
+	return out[:got]
 }
 
 // sharedPerPC checks that every slot of one PC points at the same
@@ -152,6 +154,71 @@ func TestOutsideImagePC(t *testing.T) {
 	_, want := x86.Decode(src.c.Mem.ReadBytes(bad, 15))
 	if want == nil || src.err == nil || src.err.Error() != want.Error() {
 		t.Fatalf("stream error %v, want the decoder's %v", src.err, want)
+	}
+}
+
+// TestStreamErrorPositional: the engine reads ahead of what it retires,
+// so an interpreter error is a run's error only if the run consumed up
+// to it. A program that reaches an undecodable PC just past the budget
+// (within the window's read-ahead) finishes cleanly, live and from a
+// capture; with a budget that reaches the PC, both return the decoder's
+// error.
+func TestStreamErrorPositional(t *testing.T) {
+	const base, bad, iters = 0x0040_0000, 0x0060_0000, 1000
+	var code []byte
+	emit := func(in x86.Inst) uint32 {
+		pc := base + uint32(len(code))
+		e, err := x86.Encode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code = append(code, e...)
+		return pc
+	}
+	// MOV ECX, iters; loop: SUB ECX, 1; JNE loop; MOV EAX, bad; JMP EAX.
+	emit(x86.Inst{Op: x86.OpMOV, Cond: x86.CondNone, Dst: x86.RegOp(x86.ECX), Src: x86.ImmOp(iters)})
+	loop := emit(x86.Inst{Op: x86.OpSUB, Cond: x86.CondNone, Dst: x86.RegOp(x86.ECX), Src: x86.ImmOp(1)})
+	br := base + uint32(len(code))
+	if emit(x86.Inst{Op: x86.OpJCC, Cond: x86.CondNE, Dst: x86.ImmOp(int32(loop) - int32(br) - 2)}); len(code) != int(br-base)+2 {
+		t.Fatal("loop branch is not a 2-byte encoding")
+	}
+	emit(x86.Inst{Op: x86.OpMOV, Cond: x86.CondNone, Dst: x86.RegOp(x86.EAX), Src: x86.ImmOp(bad)})
+	emit(x86.Inst{Op: x86.OpJMP, Cond: x86.CondNone, Dst: x86.RegOp(x86.EAX)})
+	prog := &workload.Program{Name: "positional", Base: base, Entry: base, Code: code,
+		Data: []workload.Segment{{Addr: bad, Bytes: []byte{0x0f, 0x0b}}}}
+	const reached = 2*iters + 3 // slots retired before the bad PC
+	_, want := x86.Decode([]byte{0x0f, 0x0b})
+	if want == nil {
+		t.Fatal("the bad PC decodes")
+	}
+
+	cfg := pipeline.DefaultConfig(pipeline.ModeICache)
+	run := func(src slotSource, budget int) error {
+		_, err := runStreamStats(context.Background(), prog.Name, src, cfg, pipeline.ModeICache, Options{}, budget, 0.4, 0)
+		return err
+	}
+	for _, tc := range []struct {
+		budget int
+		fails  bool
+	}{{reached - 20, false}, {reached + 100, true}} {
+		live := newCPUStream(prog)
+		err := run(live, tc.budget)
+		if live.err == nil {
+			t.Fatalf("budget %d: the live stream never met the bad PC; the check is vacuous", tc.budget)
+		}
+		rec := captureRecorded(prog, tc.budget+captureSlack)
+		if len(rec.pcs) != reached || rec.err == nil {
+			t.Fatalf("capture holds %d slots (err %v), want %d ending in the decoder's error", len(rec.pcs), rec.err, reached)
+		}
+		cerr := run(&replayStream{rec: rec}, tc.budget)
+		for path, err := range map[string]error{"live": err, "capture": cerr} {
+			switch {
+			case !tc.fails && err != nil:
+				t.Errorf("%s, budget %d short of the bad PC: %v", path, tc.budget, err)
+			case tc.fails && (err == nil || !strings.HasSuffix(err.Error(), want.Error())):
+				t.Errorf("%s, budget %d past the bad PC: error %v, want the decoder's %v", path, tc.budget, err, want)
+			}
+		}
 	}
 }
 

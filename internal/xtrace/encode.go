@@ -32,28 +32,32 @@ func FromStream(name string, codeBase uint32, code []byte, src pipeline.Stream, 
 		Code:     code,
 	}
 	n := 0
-	for s, ok := src.Next(); ok; s, ok = src.Next() {
-		n++
-		taken := s.Taken()
-		mem := 0
-		for ui, u := range s.UOps {
-			r := Record{EIP: s.PC, Class: classOf(u.Op)}
-			if ui == 0 {
-				r.Flags |= RecFirst
+	buf := make([]pipeline.Slot, 256)
+	for got := src.Fill(buf); got > 0; got = src.Fill(buf) {
+		for i := range buf[:got] {
+			s := &buf[i]
+			n++
+			taken := s.Taken()
+			mem := 0
+			for ui, u := range s.UOps {
+				r := Record{EIP: s.PC, Class: classOf(u.Op)}
+				if ui == 0 {
+					r.Flags |= RecFirst
+				}
+				if u.Op.IsMem() && mem < len(s.MemAddrs) {
+					r.Flags |= RecHasAddr
+					r.Addr = s.MemAddrs[mem]
+					r.Size = 4
+					mem++
+				}
+				if taken && r.Class == ClassBranch {
+					r.Flags |= RecTaken
+				}
+				t.Records = append(t.Records, r)
 			}
-			if u.Op.IsMem() && mem < len(s.MemAddrs) {
-				r.Flags |= RecHasAddr
-				r.Addr = s.MemAddrs[mem]
-				r.Size = 4
-				mem++
-			}
-			if taken && r.Class == ClassBranch {
-				r.Flags |= RecTaken
-			}
-			t.Records = append(t.Records, r)
+			t.FinalPC = s.NextPC
+			t.HasFinal = true
 		}
-		t.FinalPC = s.NextPC
-		t.HasFinal = true
 	}
 	if insts > 0 && insts <= n {
 		t.Header.Insts = uint32(insts)
