@@ -9,6 +9,9 @@
 //	tracegen -stat file                                           summarize a trace file
 //	tracegen -list                                                list workloads
 //
+// -trace selects one of the profile's hot-spot traces (0 up to the
+// Traces column of -list, exclusive); any other index is an error.
+//
 // -export writes the versioned external uop-trace format (see
 // internal/xtrace): -format binary (default) or ndjson. Exported files
 // replay through replaysim -load or a replayd trace upload with
@@ -29,7 +32,7 @@ import (
 
 func main() {
 	name := flag.String("workload", "", "workload profile to capture")
-	traceIdx := flag.Int("trace", 0, "hot-spot trace index")
+	traceIdx := flag.Int("trace", 0, "hot-spot trace index, below the profile's trace count (-list)")
 	insts := flag.Int("insts", 0, "x86 instruction budget (default: profile budget)")
 	out := flag.String("o", "", "write the captured trace to this file")
 	export := flag.String("export", "", "write the portable external uop trace to this file")
@@ -47,14 +50,7 @@ func main() {
 // exportTrace captures the workload's retired slot stream (with replay
 // slack past the budget, so loaders can stream the same window the
 // replay pipeline sees) and writes it in the external format.
-func exportTrace(name string, traceIdx, insts int, path, format string) error {
-	p, err := workload.ByName(name)
-	if err != nil {
-		return err
-	}
-	if insts == 0 {
-		insts = p.XInsts
-	}
+func exportTrace(p workload.Profile, traceIdx, insts int, path, format string) error {
 	xt, err := sim.CaptureXTrace(p, traceIdx, insts)
 	if err != nil {
 		return err
@@ -103,16 +99,21 @@ func run(name string, traceIdx, insts int, out, export, format, stat string, lis
 		printStats(tr)
 		return nil
 
-	case name != "" && export != "":
-		return exportTrace(name, traceIdx, insts, export, format)
-
 	case name != "":
 		p, err := workload.ByName(name)
 		if err != nil {
 			return err
 		}
+		// The index is a generator seed offset, so an out-of-range one
+		// would silently build a program the profile does not describe.
+		if traceIdx < 0 || traceIdx >= p.Traces {
+			return fmt.Errorf("-trace %d outside %s's trace range [0, %d)", traceIdx, p.Name, p.Traces)
+		}
 		if insts == 0 {
 			insts = p.XInsts
+		}
+		if export != "" {
+			return exportTrace(p, traceIdx, insts, export, format)
 		}
 		prog, err := workload.Generate(p, traceIdx)
 		if err != nil {

@@ -3,7 +3,6 @@ package diff
 import (
 	"sort"
 
-	"repro/internal/noise"
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
@@ -205,9 +204,9 @@ func Compare(base, vari RunSide) *Report {
 	r.Metrics = metricDeltas(base.Runs, vari.Runs)
 	for _, m := range r.Metrics {
 		switch m.Verdict {
-		case noise.VerdictRegressed:
+		case VerdictRegressed:
 			r.SignificantRegressions++
-		case noise.VerdictImproved:
+		case VerdictImproved:
 			r.SignificantImprovements++
 		}
 	}
@@ -301,9 +300,9 @@ func passDeltas(b, v map[string]PassCount) []PassDelta {
 func metricDeltas(base, vari []pipeline.Stats) []MetricDelta {
 	out := make([]MetricDelta, 0, len(metricSpecs))
 	for _, spec := range metricSpecs {
-		bs := noise.Summarize(samples(base, spec.get))
-		vs := noise.Summarize(samples(vari, spec.get))
-		verdict, delta, bound := noise.Verdict(bs, vs, spec.higher)
+		bs := Summarize(samples(base, spec.get))
+		vs := Summarize(samples(vari, spec.get))
+		verdict, delta, bound := Verdict(bs, vs, spec.higher)
 		better := "lower"
 		if spec.higher {
 			better = "higher"

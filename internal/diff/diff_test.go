@@ -3,7 +3,6 @@ package diff
 import (
 	"testing"
 
-	"repro/internal/noise"
 	"repro/internal/opt"
 	"repro/internal/pipeline"
 	"repro/internal/reuse"
@@ -205,7 +204,7 @@ func TestCompareVerdicts(t *testing.T) {
 		RunSide{Runs: mk(100, 101, 99)},
 		RunSide{Runs: mk(200, 201, 199)},
 	)
-	if m := find(r, "cycles"); m.Verdict != noise.VerdictRegressed || m.Noise <= 0 {
+	if m := find(r, "cycles"); m.Verdict != VerdictRegressed || m.Noise <= 0 {
 		t.Errorf("cycles verdict %+v, want regressed with bound", m)
 	}
 	if r.SignificantRegressions == 0 {
@@ -217,7 +216,7 @@ func TestCompareVerdicts(t *testing.T) {
 		RunSide{Runs: mk(100, 300, 200)},
 		RunSide{Runs: mk(150, 350, 250)},
 	)
-	if m := find(r, "cycles"); m.Verdict != noise.VerdictNoise {
+	if m := find(r, "cycles"); m.Verdict != VerdictNoise {
 		t.Errorf("noisy cycles verdict %+v, want noise", m)
 	}
 
@@ -226,7 +225,7 @@ func TestCompareVerdicts(t *testing.T) {
 		RunSide{Runs: mk(200, 201, 199)},
 		RunSide{Runs: mk(100, 101, 99)},
 	)
-	if m := find(r, "cycles"); m.Verdict != noise.VerdictImproved {
+	if m := find(r, "cycles"); m.Verdict != VerdictImproved {
 		t.Errorf("cycles verdict %+v, want improved", m)
 	}
 	if r.SignificantImprovements == 0 {

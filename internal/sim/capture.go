@@ -319,10 +319,6 @@ type sliceStream struct {
 	pos   int
 }
 
-// NewSlotStream wraps a slot slice as a correct-path stream for
-// pipeline.New.
-func NewSlotStream(slots []pipeline.Slot) pipeline.Stream { return &sliceStream{slots: slots} }
-
 func (s *sliceStream) Fill(dst []pipeline.Slot) int {
 	n := copy(dst, s.slots[s.pos:])
 	s.pos += n

@@ -171,7 +171,7 @@ func TestSlotStreamDumpReload(t *testing.T) {
 		return eng.Stats()
 	}
 	live := run(&replayStream{rec: rec})
-	reloaded := run(NewSlotStream(slots))
+	reloaded := run(&sliceStream{slots: slots})
 	if !reflect.DeepEqual(live, reloaded) {
 		t.Error("timing stats differ between live and reloaded streams")
 	}

@@ -134,18 +134,15 @@ func (s HistogramSnapshot) Mean() float64 {
 	return s.Sum / float64(s.Count)
 }
 
-// LatencyHistogram is Histogram's wall-clock sibling: observations are
-// durations, bucket bounds and the exported sum are in seconds (the
-// Prometheus convention for *_seconds metrics). Internally it
-// accumulates nanoseconds so the hot path stays integer-atomic.
+// LatencyHistogram is Histogram's wall-clock front end: observations
+// are durations, and bucket bounds, the exported sum and exemplar values
+// are in seconds (the Prometheus convention for *_seconds metrics).
+// Underneath, a Histogram counts nanoseconds against the bounds scaled
+// to nanoseconds, so the hot path stays integer-atomic; the conversion
+// back to seconds happens only in Snapshot.
 type LatencyHistogram struct {
-	name      string
-	help      string
-	bounds    []float64 // seconds
-	counts    []atomic.Uint64
-	exemplars []atomic.Pointer[Exemplar]
-	sumNS     atomic.Uint64
-	total     atomic.Uint64
+	h      *Histogram
+	bounds []float64 // seconds
 }
 
 // DefaultLatencyBounds covers the service-latency range replayd sees:
@@ -159,61 +156,34 @@ var DefaultLatencyBounds = []float64{
 // inclusive upper bounds in seconds (strictly increasing; +Inf bucket
 // implicit).
 func NewLatencyHistogram(name, help string, bounds ...float64) *LatencyHistogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("stats: histogram %q bounds not increasing: %v", name, bounds))
-		}
+	ns := make([]float64, len(bounds))
+	for i, b := range bounds {
+		ns[i] = b * 1e9
 	}
-	return &LatencyHistogram{
-		name:      name,
-		help:      help,
-		bounds:    bounds,
-		counts:    make([]atomic.Uint64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
-	}
+	return &LatencyHistogram{h: NewHistogram(name, help, ns...), bounds: bounds}
 }
-
-// Name returns the metric name given at construction.
-func (h *LatencyHistogram) Name() string { return h.name }
 
 // Observe records one duration.
 func (h *LatencyHistogram) Observe(d time.Duration) { h.ObserveEx(d, "") }
 
 // ObserveEx records one duration and, when traceID is non-empty,
-// stamps the bucket's exemplar with it.
+// stamps the bucket's exemplar with it. A negative duration counts as 0.
 func (h *LatencyHistogram) ObserveEx(d time.Duration, traceID string) {
 	if d < 0 {
 		d = 0
 	}
-	secs := d.Seconds()
-	i := 0
-	for i < len(h.bounds) && secs > h.bounds[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.sumNS.Add(uint64(d))
-	h.total.Add(1)
-	if traceID != "" {
-		if old := h.exemplars[i].Load(); old == nil || old.TraceID != traceID {
-			h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: secs, Ts: time.Now()})
-		}
-	}
+	h.h.ObserveEx(uint64(d), traceID)
 }
 
-// Snapshot copies the current state; Sum is in seconds.
+// Snapshot copies the current state with bounds, Sum and exemplar
+// values in seconds.
 func (h *LatencyHistogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Name:   h.name,
-		Help:   h.help,
-		Bounds: h.bounds,
-		Counts: make([]uint64, len(h.counts)),
-		Sum:    float64(h.sumNS.Load()) / 1e9,
-		Count:  h.total.Load(),
+	s := h.h.Snapshot()
+	s.Bounds = h.bounds
+	s.Sum /= 1e9
+	for i := range s.Exemplars {
+		s.Exemplars[i].Value /= 1e9
 	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Exemplars = loadExemplars(h.exemplars)
 	return s
 }
 
